@@ -6,12 +6,12 @@
 //!   (the TDB+ → TDB++ → TDB++X ladder).
 //! * `ablation_scc` — SCC pre-filter on/off.
 //! * `ablation_order` — vertex scan order sensitivity.
-//! * `ablation_parallel` — parallel TDB++ with 1/2/4 worker threads.
 //! * `ablation_minimal_engine` — Algorithm 7 driven by the naive vs block DFS.
 //!
-//! Every cover computation goes through the unified [`Solver`] /
-//! [`CoverAlgorithm`] surface; only the raw-query ablation touches the search
-//! primitives directly.
+//! The scan-order ablation runs a [`CoverRequest`]; the filter, SCC
+//! and minimize-engine ablations toggle family options the [`Algorithm`]
+//! enum does not name, so they call the families' `_with` entry points
+//! directly, and the raw-query ablation touches the search primitives.
 
 use tdb_bench::bench_support::small_proxy;
 use tdb_bench::microbench::Microbench;
@@ -20,11 +20,16 @@ use tdb_cycle::{find_cycle_through, BlockSearcher};
 use tdb_datasets::Dataset;
 use tdb_graph::{ActiveSet, CsrGraph, Graph};
 
-/// Run a configured algorithm value through the trait, like the harness does.
-fn solve_size(algorithm: &dyn CoverAlgorithm, g: &CsrGraph, constraint: &HopConstraint) -> usize {
-    let mut ctx = SolveContext::new();
-    algorithm
-        .solve(g, constraint, &mut ctx)
+/// Cover size of a top-down solve under `config`.
+fn top_down_size(config: &TopDownConfig, g: &CsrGraph, constraint: &HopConstraint) -> usize {
+    top_down_cover_with(g, constraint, config, &mut SolveContext::new())
+        .expect("unbudgeted solve cannot fail")
+        .cover_size()
+}
+
+/// Cover size of a bottom-up solve under `config`.
+fn bottom_up_size(config: &BottomUpConfig, g: &CsrGraph, constraint: &HopConstraint) -> usize {
+    bottom_up_cover_with(g, constraint, config, &mut SolveContext::new())
         .expect("unbudgeted solve cannot fail")
         .cover_size()
 }
@@ -63,7 +68,7 @@ fn bench_filters(bench: &Microbench) {
         ("tdb_extended_exact_filter", TopDownConfig::extended()),
     ] {
         bench.bench(&format!("ablation_filter/{label}"), || {
-            solve_size(&config, &g, &constraint)
+            top_down_size(&config, &g, &constraint)
         });
     }
 }
@@ -79,10 +84,10 @@ fn bench_scc_prefilter(bench: &Microbench) {
         ..TopDownConfig::tdb_plus_plus()
     };
     bench.bench("ablation_scc/without_scc_prefilter", || {
-        solve_size(&without, &g, &constraint)
+        top_down_size(&without, &g, &constraint)
     });
     bench.bench("ablation_scc/with_scc_prefilter", || {
-        solve_size(&with, &g, &constraint)
+        top_down_size(&with, &g, &constraint)
     });
 }
 
@@ -95,26 +100,13 @@ fn bench_scan_order(bench: &Microbench) {
         ("degree_ascending", ScanOrder::DegreeAscending),
         ("random", ScanOrder::Random(7)),
     ] {
-        let solver = Solver::new(Algorithm::TdbPlusPlus).with_scan_order(order);
+        let solver = Solver::from_request(CoverRequest {
+            scan_order: order,
+            ..CoverRequest::new(Algorithm::TdbPlusPlus, 5)
+        });
         bench.bench(&format!("ablation_order/{label}"), || {
             solver.solve(&g, &constraint).unwrap().cover_size()
         });
-    }
-}
-
-fn bench_parallel(bench: &Microbench) {
-    let g = small_proxy(Dataset::WebGoogle, 16_000);
-    let constraint = HopConstraint::new(5);
-    let sequential = Solver::new(Algorithm::TdbPlusPlus);
-    bench.bench("ablation_parallel/sequential_tdb_plus_plus", || {
-        sequential.solve(&g, &constraint).unwrap().cover_size()
-    });
-    for threads in [1usize, 2, 4] {
-        let solver = Solver::new(Algorithm::TdbParallel).with_threads(threads);
-        bench.bench(
-            &format!("ablation_parallel/parallel_tdb_plus_plus/{threads}"),
-            || solver.solve(&g, &constraint).unwrap().cover_size(),
-        );
     }
 }
 
@@ -128,7 +120,7 @@ fn bench_minimal_engine(bench: &Microbench) {
         let mut config = BottomUpConfig::bur_plus();
         config.minimal_engine = engine;
         bench.bench(&format!("ablation_minimal_engine/{label}"), || {
-            solve_size(&config, &g, &constraint)
+            bottom_up_size(&config, &g, &constraint)
         });
     }
 }
@@ -139,6 +131,5 @@ fn main() {
     bench_filters(&bench);
     bench_scc_prefilter(&bench);
     bench_scan_order(&bench);
-    bench_parallel(&bench);
     bench_minimal_engine(&bench);
 }

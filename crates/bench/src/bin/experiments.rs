@@ -67,7 +67,7 @@
 //!
 //! The `sharding` subcommand (also reachable as plain `--sharding`) builds a
 //! seeded multi-SCC graph and compares the sequential whole-graph solve with
-//! the SCC-partitioned `Solver::with_sharding` pipeline:
+//! the SCC-partitioned pipeline (`CoverRequest::sharding`):
 //!
 //! ```text
 //! cargo run --release -p tdb-bench --bin experiments -- --sharding \

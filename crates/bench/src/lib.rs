@@ -84,10 +84,7 @@ impl ExperimentConfig {
     /// Whether `algorithm` should be attempted on a proxy with `edges` edges.
     pub fn algorithm_enabled(&self, algorithm: Algorithm, edges: usize) -> bool {
         match algorithm {
-            Algorithm::TdbPlusPlus
-            | Algorithm::TdbPlus
-            | Algorithm::TdbExtended
-            | Algorithm::TdbParallel => true,
+            Algorithm::TdbPlusPlus | Algorithm::TdbPlus | Algorithm::TdbExtended => true,
             Algorithm::Bur | Algorithm::BurPlus | Algorithm::DarcDv | Algorithm::Tdb => {
                 edges <= self.slow_algorithm_edge_limit
             }
@@ -144,10 +141,10 @@ pub fn run_cell(
     if !config.algorithm_enabled(algorithm, graph.num_edges()) {
         return None;
     }
-    let mut solver = Solver::new(algorithm);
-    if let Some(budget) = config.time_budget {
-        solver = solver.with_time_budget(budget);
-    }
+    let solver = Solver::from_request(CoverRequest {
+        time_budget: config.time_budget,
+        ..CoverRequest::new(algorithm, constraint.max_hops)
+    });
     let run = match solver.solve(graph, constraint) {
         Ok(run) => run,
         // Budget overruns (and any future failure mode) are reported exactly

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use tdb_core::{Algorithm, HopConstraint, Partitioner, ShardingMode, Solver};
+use tdb_core::{Algorithm, CoverRequest, HopConstraint, Partitioner, ShardingMode, Solver};
 use tdb_graph::gen::{multi_scc_chain, MultiSccConfig};
 use tdb_graph::{CsrGraph, Graph};
 
@@ -146,6 +146,14 @@ impl ShardingReport {
     }
 }
 
+/// The configured algorithm, sharded over `config.threads` workers.
+fn sharded_solver(config: &ShardingConfig) -> Solver {
+    Solver::from_request(CoverRequest {
+        sharding: ShardingMode::Threads(config.threads),
+        ..CoverRequest::new(config.algorithm, config.k)
+    })
+}
+
 /// Run the scenario: build the graph, solve both ways, compare.
 pub fn run_sharding(config: &ShardingConfig) -> ShardingReport {
     let g = multi_scc_graph(config);
@@ -158,8 +166,7 @@ pub fn run_sharding(config: &ShardingConfig) -> ShardingReport {
     let plain = Solver::new(config.algorithm)
         .solve(&g, &constraint)
         .expect("unbudgeted solve cannot fail");
-    let sharded = Solver::new(config.algorithm)
-        .with_sharding(ShardingMode::Threads(config.threads))
+    let sharded = sharded_solver(config)
         .solve(&g, &constraint)
         .expect("unbudgeted solve cannot fail");
 
@@ -280,8 +287,7 @@ mod tests {
         assert_eq!(report.sharded_cover, report.unsharded_cover);
         assert_eq!(report.non_trivial_components, config.components);
         let g = multi_scc_graph(&config);
-        let run = Solver::new(config.algorithm)
-            .with_sharding(ShardingMode::Threads(config.threads))
+        let run = sharded_solver(&config)
             .solve(&g, &HopConstraint::new(config.k))
             .unwrap();
         assert!(is_valid_cover(

@@ -19,7 +19,7 @@ use tdb_graph::{Graph, VertexId};
 
 use crate::cover::{CoverRun, CycleCover, RunMetrics};
 use crate::minimal::{minimal_prune_with, SearchEngine};
-use crate::solver::{CoverAlgorithm, SolveContext, SolveError, SolveScratch};
+use crate::solver::{SolveContext, SolveError, SolveScratch};
 use crate::stats::Timer;
 
 /// Configuration of the bottom-up algorithm.
@@ -168,21 +168,6 @@ fn bottom_up_grow<G: Graph>(
         }
     }
     Ok(cover_vertices)
-}
-
-impl CoverAlgorithm for BottomUpConfig {
-    fn name(&self) -> &'static str {
-        BottomUpConfig::name(self)
-    }
-
-    fn solve(
-        &self,
-        g: &tdb_graph::CsrGraph,
-        constraint: &HopConstraint,
-        ctx: &mut SolveContext,
-    ) -> Result<CoverRun, SolveError> {
-        bottom_up_cover_with(g, constraint, self, ctx)
-    }
 }
 
 #[cfg(test)]

@@ -31,43 +31,8 @@ use tdb_graph::line_graph::LineGraph;
 use tdb_graph::{ActiveSet, CsrGraph, Edge, FixedBitSet, Graph};
 
 use crate::cover::{CoverRun, CycleCover, RunMetrics};
-use crate::solver::{CoverAlgorithm, SolveContext, SolveError};
+use crate::solver::{SolveContext, SolveError};
 use crate::stats::Timer;
-
-/// Configuration marker for the DARC-DV baseline.
-///
-/// DARC-DV has no tunable parameters; this unit-like struct exists so the
-/// baseline participates in the [`CoverAlgorithm`] trait like every other
-/// family.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DarcDvConfig;
-
-impl DarcDvConfig {
-    /// The (only) DARC-DV configuration.
-    pub fn new() -> Self {
-        DarcDvConfig
-    }
-
-    /// Display name matching the paper's tables.
-    pub fn name(&self) -> &'static str {
-        "DARC-DV"
-    }
-}
-
-impl CoverAlgorithm for DarcDvConfig {
-    fn name(&self) -> &'static str {
-        DarcDvConfig::name(self)
-    }
-
-    fn solve(
-        &self,
-        g: &CsrGraph,
-        constraint: &HopConstraint,
-        ctx: &mut SolveContext,
-    ) -> Result<CoverRun, SolveError> {
-        darc_dv_cover_with(g, constraint, ctx)
-    }
-}
 
 /// Result of the edge-level k-cycle transversal.
 #[derive(Debug, Clone)]

@@ -16,30 +16,25 @@
 //!   result (cover, total cost, budget exhaustion, residual cycles, per-breaker
 //!   explanations) instead of a bare vertex vector.
 //! * [`Algorithm`] — the enum of every evaluated variant (`BUR`, `BUR+`,
-//!   `DARC-DV`, `TDB`, `TDB+`, `TDB++`, plus this crate's extensions).
-//! * [`Solver`](solver::Solver) — the execution engine behind a request
-//!   ([`Solver::from_request`](solver::Solver::from_request)); the `with_*`
-//!   builders remain as delegating sugar:
-//!   `Solver::new(Algorithm::TdbPlusPlus).with_scan_order(..).solve(&g, &c)`.
-//! * [`CoverAlgorithm`](solver::CoverAlgorithm) — the trait behind the
-//!   builder. Each family's configuration struct ([`top_down::TopDownConfig`],
-//!   [`bottom_up::BottomUpConfig`], [`darc::DarcDvConfig`],
-//!   [`parallel::ParallelConfig`]) implements it, so an algorithm is a value
-//!   you configure once and run against any graph.
+//!   `DARC-DV`, `TDB`, `TDB+`, `TDB++`, plus the `TDB++X` extension).
+//! * [`Solver`](solver::Solver) — the executor of one request
+//!   ([`Solver::from_request`](solver::Solver::from_request)): it maps the
+//!   request's [`Algorithm`] onto its family's `_with` entry point and runs
+//!   it against any graph and explicit [`HopConstraint`], optionally through
+//!   a caller-held context. It has no configuration of its own.
 //! * [`SolveContext`](solver::SolveContext) / [`SolveError`](solver::SolveError)
-//!   — shared run state (seed, per-vertex costs, deadline, accumulated
-//!   metrics, progress callback) and typed failure: a solver with a time
-//!   budget returns
-//!   [`SolveError::BudgetExceeded`](solver::SolveError::BudgetExceeded)
+//!   — shared run state (per-vertex costs, deadline, accumulated metrics,
+//!   progress callback) and typed failure: a request with a time budget
+//!   returns [`SolveError::BudgetExceeded`](solver::SolveError::BudgetExceeded)
 //!   instead of running unbounded.
 //!
 //! The algorithm families, by paper section:
 //!
-//! | Family | Paper section | Configuration | Character |
+//! | Family | Paper section | Entry point | Character |
 //! |---|---|---|---|
-//! | Bottom-up (`BUR`, `BUR+`) | §V, Alg. 4–7 | [`bottom_up::BottomUpConfig`] | smallest covers, `O(n^{k+1})` |
-//! | DARC / DARC-DV | §III-B, Alg. 1–3 | [`darc::DarcDvConfig`] | prior state of the art, `O(n^k)` |
-//! | Top-down (`TDB`, `TDB+`, `TDB++`) | §VI, Alg. 8–11 | [`top_down::TopDownConfig`] | the paper's contribution, `O(k·n·m)` |
+//! | Bottom-up (`BUR`, `BUR+`) | §V, Alg. 4–7 | [`bottom_up::bottom_up_cover_with`] | smallest covers, `O(n^{k+1})` |
+//! | DARC / DARC-DV | §III-B, Alg. 1–3 | [`darc::darc_dv_cover_with`] | prior state of the art, `O(n^k)` |
+//! | Top-down (`TDB`, `TDB+`, `TDB++`, `TDB++X`) | §VI, Alg. 8–11 | [`top_down::top_down_cover_with`] | the paper's contribution, `O(k·n·m)` |
 //!
 //! All of them produce covers that are **valid** (no constrained cycle
 //! survives) and — except `BUR` and `DARC-DV`, which skip the Algorithm-7
@@ -48,7 +43,7 @@
 //!
 //! Because every constrained cycle lies inside one strongly connected
 //! component, the problem also **partitions exactly**:
-//! [`Solver::with_sharding`](solver::Solver::with_sharding) condenses the
+//! [`CoverRequest::sharding`](request::CoverRequest::sharding) condenses the
 //! graph ([`partition::Partitioner`]), solves the non-trivial SCCs as
 //! independent compact shards on worker threads, and merges the per-shard
 //! covers — reproducing the unsharded cover while scaling across cores on
@@ -66,9 +61,10 @@
 //! ```
 //!
 //! The budget-aware per-family entry points (`top_down::top_down_cover_with`
-//! and friends) remain public for callers that thread their own
-//! [`SolveContext`](solver::SolveContext); new code should go through
-//! [`CoverRequest`](request::CoverRequest) or [`Solver`](solver::Solver).
+//! and friends) remain public for callers that need a family option the
+//! [`Algorithm`] enum does not name (an ablation's filter switch, the
+//! minimize engine); everything else goes through
+//! [`CoverRequest`](request::CoverRequest).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,7 +73,6 @@ pub mod bottom_up;
 pub mod cover;
 pub mod darc;
 pub mod minimal;
-pub mod parallel;
 pub mod partition;
 pub mod request;
 pub mod solver;
@@ -89,12 +84,8 @@ pub mod verify;
 pub use cover::{CoverRun, CycleCover, RunMetrics};
 pub use partition::{Partition, Partitioner, Shard};
 pub use request::{BreakerStat, Budget, CoverReport, CoverRequest, Cycle, Objective};
-pub use solver::{
-    CoverAlgorithm, ShardingMode, SolveContext, SolveError, SolveProgress, Solver, TwoCycleMode,
-};
+pub use solver::{ShardingMode, SolveContext, SolveError, SolveProgress, Solver, TwoCycleMode};
 pub use tdb_cycle::HopConstraint;
-
-use tdb_graph::CsrGraph;
 
 /// The algorithms evaluated in the paper (plus this crate's extensions), as a
 /// single enumeration so that harnesses can sweep over them uniformly.
@@ -114,8 +105,6 @@ pub enum Algorithm {
     TdbPlusPlus,
     /// Extension: `TDB++` with exact-filter shortcut and SCC pre-filter.
     TdbExtended,
-    /// Extension: parallel `TDB++`.
-    TdbParallel,
 }
 
 impl Algorithm {
@@ -129,7 +118,6 @@ impl Algorithm {
             Algorithm::TdbPlus => "TDB+",
             Algorithm::TdbPlusPlus => "TDB++",
             Algorithm::TdbExtended => "TDB++X",
-            Algorithm::TdbParallel => "TDB++/par",
         }
     }
 
@@ -143,7 +131,7 @@ impl Algorithm {
     }
 
     /// Every algorithm the crate implements.
-    pub fn all() -> [Algorithm; 8] {
+    pub fn all() -> [Algorithm; 7] {
         [
             Algorithm::Bur,
             Algorithm::BurPlus,
@@ -152,7 +140,6 @@ impl Algorithm {
             Algorithm::TdbPlus,
             Algorithm::TdbPlusPlus,
             Algorithm::TdbExtended,
-            Algorithm::TdbParallel,
         ]
     }
 }
@@ -179,8 +166,8 @@ impl AlgorithmParseError {
     }
 
     /// The canonical names (`Algorithm::name`) accepted by the parser.
-    pub fn expected() -> [&'static str; 8] {
-        let mut names = [""; 8];
+    pub fn expected() -> [&'static str; 7] {
+        let mut names = [""; 7];
         for (slot, algorithm) in names.iter_mut().zip(Algorithm::all()) {
             *slot = algorithm.name();
         }
@@ -207,8 +194,8 @@ impl std::str::FromStr for Algorithm {
     /// Parse an algorithm name, case-insensitively.
     ///
     /// Every [`Algorithm::name`] output parses back losslessly (including
-    /// `"TDB++X"` and `"TDB++/par"`), alongside spelled-out aliases such as
-    /// `"bur_plus"` or `"parallel"`.
+    /// `"TDB++X"`), alongside spelled-out aliases such as `"bur_plus"` or
+    /// `"extended"`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_uppercase().as_str() {
             "BUR" => Ok(Algorithm::Bur),
@@ -218,7 +205,6 @@ impl std::str::FromStr for Algorithm {
             "TDB+" | "TDBPLUS" | "TDB_PLUS" => Ok(Algorithm::TdbPlus),
             "TDB++" | "TDBPLUSPLUS" | "TDB_PLUS_PLUS" => Ok(Algorithm::TdbPlusPlus),
             "TDB++X" | "TDBX" | "EXTENDED" => Ok(Algorithm::TdbExtended),
-            "TDB++/PAR" | "TDB++PAR" | "PARALLEL" | "PAR" => Ok(Algorithm::TdbParallel),
             _ => Err(AlgorithmParseError {
                 input: s.to_string(),
             }),
@@ -226,35 +212,21 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
-/// Compute a hop-constrained cycle cover of `g` with the chosen algorithm.
-///
-/// Equivalent to `Solver::new(algorithm).solve(g, constraint)` with the
-/// algorithm's default configuration and no budget. Kept as the simplest
-/// uniform entry point; use [`Solver`] directly for scan order, threads, time
-/// budgets, or progress reporting.
-pub fn compute_cover(g: &CsrGraph, constraint: &HopConstraint, algorithm: Algorithm) -> CoverRun {
-    Solver::new(algorithm)
-        .solve(g, constraint)
-        .expect("unbudgeted solve cannot fail")
-}
-
 /// Commonly used items re-exported together.
 pub mod prelude {
     pub use crate::bottom_up::{bottom_up_cover_with, BottomUpConfig};
-    pub use crate::compute_cover;
     pub use crate::cover::{CoverRun, CycleCover, RunMetrics};
-    pub use crate::darc::{darc_dv_cover_with, DarcDvConfig};
+    pub use crate::darc::darc_dv_cover_with;
     pub use crate::minimal::{minimal_prune, minimal_prune_candidates_with, SearchEngine};
-    pub use crate::parallel::{parallel_top_down_cover_with, ParallelConfig};
     pub use crate::partition::{Partition, Partitioner, Shard};
     pub use crate::request::{
         BreakerStat, Budget, CoverReport, CoverRequest, Cycle, Objective, DEFAULT_RESIDUAL_CAP,
     };
     pub use crate::solver::{
-        CoverAlgorithm, ShardingMode, SolveContext, SolveError, SolveProgress, Solver, TwoCycleMode,
+        ShardingMode, SolveContext, SolveError, SolveProgress, Solver, TwoCycleMode,
     };
     pub use crate::top_down::{top_down_cover_with, ScanOrder, TopDownConfig};
-    pub use crate::two_cycle::{combined_cover, minimal_two_cycle_cover};
+    pub use crate::two_cycle::minimal_two_cycle_cover;
     pub use crate::verify::{is_valid_cover, verify_cover};
     pub use crate::{Algorithm, AlgorithmParseError};
     pub use tdb_cycle::HopConstraint;
@@ -286,7 +258,7 @@ mod tests {
         let g = erdos_renyi_gnm(30, 120, 1);
         let constraint = HopConstraint::new(4);
         for algo in Algorithm::all() {
-            let run = compute_cover(&g, &constraint, algo);
+            let run = Solver::new(algo).solve(&g, &constraint).unwrap();
             let v = verify_cover(&g, &run.cover, &constraint);
             assert!(v.is_valid, "{algo} produced an invalid cover");
             assert_eq!(run.metrics.k, 4);

@@ -119,11 +119,11 @@ impl Partitioner {
     }
 }
 
-/// Solve `g` with `solver`'s configured per-shard pipeline, one component at
-/// a time, on `threads` worker threads. Called by
-/// [`Solver::solve_with`](crate::solver::Solver::solve_with) when a
-/// [`ShardingMode`](crate::solver::ShardingMode) is enabled; the context must
-/// already be armed.
+/// Solve `g` with `solver`'s per-shard pipeline, one component at a time, on
+/// `threads` worker threads. Called by
+/// [`Solver::solve_with`](crate::solver::Solver::solve_with) when the
+/// request's [`ShardingMode`](crate::solver::ShardingMode) is enabled; the
+/// context must already be armed.
 pub(crate) fn solve_sharded(
     solver: &Solver,
     g: &CsrGraph,
@@ -141,10 +141,6 @@ pub(crate) fn solve_sharded(
     ctx.checkpoint()?;
     let shards = &partition.shards;
     let snapshot = ctx.snapshot();
-    // Inside a shard the worker pool is the parallelism: pin the parallel
-    // family's auto inner threading to 1 so threads don't multiply.
-    let shard_solver = solver.shard_solver();
-    let solver = &shard_solver;
 
     let results: Vec<Mutex<Option<CoverRun>>> = shards.iter().map(|_| Mutex::new(None)).collect();
     let failure: Mutex<Option<SolveError>> = Mutex::new(None);
@@ -199,7 +195,7 @@ pub(crate) fn solve_sharded(
     // pipeline (not the sum of per-shard CPU time).
     let mut vertices: Vec<VertexId> = Vec::new();
     let mut merged = RunMetrics::new(
-        solver.metrics_label(),
+        solver.metrics_label(constraint),
         constraint.max_hops,
         constraint.include_two_cycles,
     );
@@ -231,10 +227,17 @@ mod tests {
     use super::*;
     use crate::solver::ShardingMode;
     use crate::verify::verify_cover;
-    use crate::Algorithm;
+    use crate::{Algorithm, CoverRequest};
     use tdb_graph::builder::graph_from_edges;
     use tdb_graph::gen::{directed_path, erdos_renyi_gnm};
     use tdb_graph::Graph;
+
+    fn sharded_solver(algorithm: Algorithm, sharding: ShardingMode) -> Solver {
+        Solver::from_request(CoverRequest {
+            sharding,
+            ..CoverRequest::new(algorithm, 4)
+        })
+    }
 
     /// Disjoint triangles 0-2, 3-5, 6-8 chained by one-way bridges, plus a
     /// dangling tail vertex 9.
@@ -284,8 +287,7 @@ mod tests {
         for algorithm in Algorithm::all() {
             let plain = Solver::new(algorithm).solve(&g, &constraint).unwrap();
             for mode in [ShardingMode::Threads(1), ShardingMode::Threads(3)] {
-                let sharded = Solver::new(algorithm)
-                    .with_sharding(mode)
+                let sharded = sharded_solver(algorithm, mode)
                     .solve(&g, &constraint)
                     .unwrap();
                 assert_eq!(sharded.cover, plain.cover, "{algorithm} {mode:?}");
@@ -303,8 +305,7 @@ mod tests {
     #[test]
     fn sharded_solve_of_acyclic_graph_is_empty() {
         let g = directed_path(20);
-        let run = Solver::new(Algorithm::TdbPlusPlus)
-            .with_sharding(ShardingMode::Auto)
+        let run = sharded_solver(Algorithm::TdbPlusPlus, ShardingMode::Auto)
             .solve(&g, &HopConstraint::new(5))
             .unwrap();
         assert!(run.cover.is_empty());
@@ -320,8 +321,7 @@ mod tests {
             let plain = Solver::new(Algorithm::TdbPlusPlus)
                 .solve(&g, &constraint)
                 .unwrap();
-            let sharded = Solver::new(Algorithm::TdbPlusPlus)
-                .with_sharding(ShardingMode::Threads(4))
+            let sharded = sharded_solver(Algorithm::TdbPlusPlus, ShardingMode::Threads(4))
                 .solve(&g, &constraint)
                 .unwrap();
             assert_eq!(sharded.cover, plain.cover, "seed {seed}");
@@ -333,11 +333,13 @@ mod tests {
     #[test]
     fn sharded_budget_overrun_is_reported() {
         let g = three_triangles();
-        let err = Solver::new(Algorithm::TdbPlusPlus)
-            .with_sharding(ShardingMode::Threads(2))
-            .with_time_budget(std::time::Duration::ZERO)
-            .solve(&g, &HopConstraint::new(4))
-            .unwrap_err();
+        let err = Solver::from_request(CoverRequest {
+            sharding: ShardingMode::Threads(2),
+            time_budget: Some(std::time::Duration::ZERO),
+            ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+        })
+        .solve(&g, &HopConstraint::new(4))
+        .unwrap_err();
         assert!(matches!(err, SolveError::BudgetExceeded { .. }));
     }
 
@@ -346,11 +348,13 @@ mod tests {
         // An acyclic graph partitions into zero shards, but an expired
         // budget must still be reported — same contract as unsharded.
         let g = directed_path(12);
-        let err = Solver::new(Algorithm::TdbPlusPlus)
-            .with_sharding(ShardingMode::Threads(2))
-            .with_time_budget(std::time::Duration::ZERO)
-            .solve(&g, &HopConstraint::new(4))
-            .unwrap_err();
+        let err = Solver::from_request(CoverRequest {
+            sharding: ShardingMode::Threads(2),
+            time_budget: Some(std::time::Duration::ZERO),
+            ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+        })
+        .solve(&g, &HopConstraint::new(4))
+        .unwrap_err();
         assert!(matches!(err, SolveError::BudgetExceeded { .. }));
     }
 
@@ -358,7 +362,7 @@ mod tests {
     fn sharded_metrics_sum_counters_and_count_solves_once() {
         let g = three_triangles();
         let constraint = HopConstraint::new(4);
-        let solver = Solver::new(Algorithm::TdbPlusPlus).with_sharding(ShardingMode::Threads(2));
+        let solver = sharded_solver(Algorithm::TdbPlusPlus, ShardingMode::Threads(2));
         let mut ctx = solver.context();
         let run = solver.solve_with(&g, &constraint, &mut ctx).unwrap();
         assert_eq!(ctx.completed_solves(), 1);

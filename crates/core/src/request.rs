@@ -98,10 +98,11 @@ impl Budget {
 
 /// Everything a cover computation needs, as one value.
 ///
-/// This is the primary way to configure a solve;
-/// [`Solver::from_request`] maps it onto the execution machinery and the
-/// `Solver::with_*` builders remain as delegating sugar. [`CoverRequest::solve`]
-/// runs it end to end:
+/// This is the only way to configure a solve: its fields are the whole
+/// surface, set with struct-update syntax
+/// (`CoverRequest { explain: true, ..CoverRequest::new(algorithm, k) }`).
+/// [`CoverRequest::solve`] runs it end to end; [`Solver::from_request`]
+/// executes it against an explicit constraint and context instead.
 ///
 /// ```
 /// use tdb_core::prelude::*;
@@ -120,7 +121,9 @@ pub struct CoverRequest {
     /// Hop constraint `k`: cycles of length `3..=k` (or `2..=k`, see
     /// [`CoverRequest::include_two_cycles`]) must be covered.
     pub k: usize,
-    /// Cover 2-cycles as well (the Table IV dimension).
+    /// Cover 2-cycles as well (the Table IV dimension). This is the only
+    /// switch that makes 2-cycles count; [`CoverRequest::two_cycle_mode`]
+    /// picks how they are covered.
     pub include_two_cycles: bool,
     /// What to minimize.
     pub objective: Objective,
@@ -130,17 +133,21 @@ pub struct CoverRequest {
     pub costs: CostModel,
     /// Operational cap on the returned cover.
     pub budget: Budget,
-    /// How 2-cycles are handled (see [`TwoCycleMode`]).
+    /// How 2-cycles are covered when [`CoverRequest::include_two_cycles`]
+    /// asks for them (see [`TwoCycleMode`]).
     pub two_cycle_mode: TwoCycleMode,
-    /// Scan order override for the top-down families.
-    pub scan_order: Option<ScanOrder>,
-    /// Worker threads for the parallel family (`0` = number of CPUs).
-    pub threads: usize,
-    /// Wall-clock budget for the solve itself.
+    /// Vertex scan order of the top-down family (the bottom-up and DARC
+    /// families scan ascending by construction and ignore it).
+    pub scan_order: ScanOrder,
+    /// Wall-clock budget for the solve itself: the solve returns
+    /// [`SolveError::BudgetExceeded`] instead of running past it.
     pub time_budget: Option<std::time::Duration>,
-    /// Seed for randomized choices.
-    pub seed: u64,
-    /// SCC sharding mode.
+    /// SCC sharding mode (see [`ShardingMode`]). Composes with every
+    /// [`Algorithm`] and [`TwoCycleMode`]: each shard runs the full
+    /// per-shard pipeline. With the default ascending scan order the merged
+    /// cover is identical to the unsharded one; order variants that consult
+    /// global degrees may differ in composition but remain valid and
+    /// minimal.
     pub sharding: ShardingMode,
     /// Compute [`CoverReport::breaker_stats`].
     pub explain: bool,
@@ -167,11 +174,9 @@ impl CoverRequest {
             objective: Objective::MinCardinality,
             costs: CostModel::Uniform,
             budget: Budget::None,
-            two_cycle_mode: TwoCycleMode::FollowConstraint,
-            scan_order: None,
-            threads: 0,
+            two_cycle_mode: TwoCycleMode::Integrated,
+            scan_order: ScanOrder::Ascending,
             time_budget: None,
-            seed: 0,
             sharding: ShardingMode::Off,
             explain: false,
             residual_cap: DEFAULT_RESIDUAL_CAP,
@@ -187,9 +192,37 @@ impl CoverRequest {
         }
     }
 
-    /// Execute the request against `g`.
+    /// Execute the request against `g`: solve, apply the [`Budget`], price
+    /// the cover, and — when a budget dropped vertices or explanation was
+    /// requested — enumerate residual cycles and per-breaker statistics.
+    ///
+    /// Budget trimming ranks the computed cover by cost-effectiveness (total
+    /// degree per unit cost) and keeps the best vertices that fit; under
+    /// sharding the cap is enforced here, globally on the merged cover, so a
+    /// large shard's high-value breakers win over a small shard's marginal
+    /// ones.
     pub fn solve(&self, g: &CsrGraph) -> Result<CoverReport, SolveError> {
-        Solver::from_request(self.clone()).solve_report(g, &self.constraint())
+        let constraint = self.constraint();
+        let run = Solver::from_request(self.clone()).solve(g, &constraint)?;
+        let (kept, exhausted) = apply_budget(g, &run.cover, self.budget, &self.costs);
+        let residual = if exhausted {
+            enumerate_residual(g, &kept, &constraint, self.residual_cap)
+        } else {
+            Vec::new()
+        };
+        let breaker_stats = if self.explain {
+            breaker_statistics(g, &run.cover, &kept, &constraint, &self.costs)
+        } else {
+            Vec::new()
+        };
+        Ok(CoverReport {
+            total_cost: self.costs.total(kept.iter()),
+            cover: kept,
+            metrics: run.metrics,
+            exhausted,
+            residual,
+            breaker_stats,
+        })
     }
 }
 
@@ -269,7 +302,7 @@ fn effectiveness_ranking(g: &CsrGraph, cover: &CycleCover, costs: &CostModel) ->
 /// [`Budget::MaxCost`] is greedy-with-skip: a vertex that does not fit the
 /// remaining allowance is skipped, but cheaper lower-ranked vertices may
 /// still be admitted, so the cap is used as fully as the ranking permits.
-pub(crate) fn apply_budget(
+fn apply_budget(
     g: &CsrGraph,
     cover: &CycleCover,
     budget: Budget,
@@ -310,7 +343,7 @@ pub(crate) fn apply_budget(
 
 /// Enumerate the hop-constrained cycles of `g` that `cover` does **not**
 /// intersect, up to `cap` cycles.
-pub(crate) fn enumerate_residual(
+fn enumerate_residual(
     g: &CsrGraph,
     cover: &CycleCover,
     constraint: &HopConstraint,
@@ -330,7 +363,7 @@ pub(crate) fn enumerate_residual(
 /// trimmed `kept` below validity (every counted cycle is guaranteed to pass
 /// through the breaker, because `full_cover − v` leaves no other constrained
 /// cycles).
-pub(crate) fn breaker_statistics(
+fn breaker_statistics(
     g: &CsrGraph,
     full_cover: &CycleCover,
     kept: &CycleCover,
@@ -375,6 +408,8 @@ mod tests {
         assert!(!r.budget.is_limited());
         assert!(r.costs.is_uniform());
         assert!(!r.explain);
+        assert_eq!(r.two_cycle_mode, TwoCycleMode::Integrated);
+        assert_eq!(r.scan_order, ScanOrder::Ascending);
         assert_eq!(r.constraint(), HopConstraint::new(5));
         let mut two = r.clone();
         two.include_two_cycles = true;

@@ -1,22 +1,15 @@
-//! The unified solver surface: one entry point for every cover algorithm.
+//! The executor of a [`CoverRequest`]: one entry point for every cover
+//! algorithm.
 //!
-//! The rest of the crate implements three algorithm families behind unrelated
-//! per-family config structs. This module unifies them:
-//!
-//! * [`CoverAlgorithm`] — the trait every algorithm configuration implements.
-//!   An algorithm is a *value* ([`TopDownConfig`], [`BottomUpConfig`],
-//!   [`DarcDvConfig`], [`ParallelConfig`]) that you configure once and run
-//!   against any graph.
-//! * [`Solver`] — the execution engine behind a
-//!   [`CoverRequest`](crate::CoverRequest): [`Solver::from_request`] maps a
-//!   request onto the right family configuration and the shared run options
-//!   (objective, costs, budget, scan order, threads, time budget, seed,
-//!   sharding); the `with_*` builders are delegating sugar over the same
-//!   fields.
+//! * [`Solver`] — runs one request. Its only state is the request itself;
+//!   it maps the request's [`Algorithm`] onto the family's `_with` entry
+//!   point ([`top_down_cover_with`], [`bottom_up_cover_with`],
+//!   [`darc_dv_cover_with`]) and applies the shared options (objective,
+//!   costs, scan order, time budget, 2-cycle strategy, sharding).
 //! * [`SolveContext`] — shared run state threaded through every algorithm:
-//!   RNG seed, per-vertex costs when the objective is weight-aware,
-//!   deadline/budget checks, accumulated [`RunMetrics`] across solves, and an
-//!   optional progress callback.
+//!   per-vertex costs when the objective is weight-aware, deadline/budget
+//!   checks, accumulated [`RunMetrics`] across solves, and an optional
+//!   progress callback.
 //! * [`SolveError`] — typed failure; today the only variant is
 //!   [`SolveError::BudgetExceeded`], returned when a configured time budget
 //!   runs out mid-solve instead of running unbounded.
@@ -27,10 +20,12 @@
 //! use tdb_graph::gen::directed_cycle;
 //!
 //! let g = directed_cycle(4);
-//! let constraint = HopConstraint::new(5);
-//! let run = Solver::new(Algorithm::TdbPlusPlus)
-//!     .with_time_budget(Duration::from_secs(30))
-//!     .solve(&g, &constraint)
+//! let request = CoverRequest {
+//!     time_budget: Some(Duration::from_secs(30)),
+//!     ..CoverRequest::new(Algorithm::TdbPlusPlus, 5)
+//! };
+//! let run = Solver::from_request(request)
+//!     .solve(&g, &HopConstraint::new(5))
 //!     .expect("well within budget");
 //! assert_eq!(run.cover_size(), 1);
 //! ```
@@ -40,13 +35,12 @@ use std::time::{Duration, Instant};
 use tdb_cycle::{BfsFilter, BlockSearcher, HopConstraint, NaiveSearcher};
 use tdb_graph::{ActiveSet, CsrGraph, FixedBitSet};
 
-use crate::bottom_up::BottomUpConfig;
+use crate::bottom_up::{bottom_up_cover_with, BottomUpConfig};
 use crate::cover::{CoverRun, CycleCover, RunMetrics};
-use crate::darc::DarcDvConfig;
-use crate::parallel::ParallelConfig;
-use crate::request::{self, Budget, CoverReport, CoverRequest, Objective};
+use crate::darc::darc_dv_cover_with;
+use crate::request::{CoverRequest, Objective};
 use crate::stats::Timer;
-use crate::top_down::{ScanOrder, TopDownConfig};
+use crate::top_down::{top_down_cover_with, TopDownConfig};
 use crate::two_cycle::minimal_two_cycle_cover;
 use crate::Algorithm;
 use tdb_graph::{CostModel, Graph, VertexId};
@@ -113,8 +107,8 @@ pub struct SolveScratch {
     pub hit_count: Vec<u32>,
     /// Scan-permutation buffer.
     pub order: Vec<tdb_graph::VertexId>,
-    /// General-purpose per-vertex boolean mask (two-cycle residual removal,
-    /// parallel candidate sweep).
+    /// General-purpose per-vertex boolean mask (the residual removal of
+    /// [`TwoCycleMode::Separate`]).
     pub mask: Vec<bool>,
 }
 
@@ -188,14 +182,12 @@ type ProgressFn<'a> = Box<dyn FnMut(SolveProgress) + 'a>;
 /// Shared run state threaded through every cover algorithm.
 ///
 /// A context carries the pieces of a solve that are not algorithm-specific:
-/// the RNG seed, the optional wall-clock budget (armed into a deadline when a
-/// solve starts), metrics accumulated across consecutive solves, and an
-/// optional progress callback. Algorithms call [`SolveContext::checkpoint`] at
-/// the top of their main loops, which is how a budget interrupts a run.
+/// per-vertex costs, the optional wall-clock budget (armed into a deadline
+/// when a solve starts), metrics accumulated across consecutive solves, and
+/// an optional progress callback. Algorithms call
+/// [`SolveContext::checkpoint`] at the top of their main loops, which is how
+/// a budget interrupts a run.
 pub struct SolveContext<'a> {
-    /// Seed for any randomized choices an algorithm makes (e.g. the
-    /// [`ScanOrder::Random`] permutation when the caller did not pin one).
-    pub seed: u64,
     costs: CostModel,
     budget: Option<Duration>,
     deadline: Option<Instant>,
@@ -209,7 +201,6 @@ pub struct SolveContext<'a> {
 impl std::fmt::Debug for SolveContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveContext")
-            .field("seed", &self.seed)
             .field("budget", &self.budget)
             .field("solves", &self.solves)
             .field("has_progress_callback", &self.progress.is_some())
@@ -224,10 +215,9 @@ impl Default for SolveContext<'_> {
 }
 
 impl<'a> SolveContext<'a> {
-    /// A fresh context: no budget, seed 0, no progress callback.
+    /// A fresh context: uniform costs, no budget, no progress callback.
     pub fn new() -> Self {
         SolveContext {
-            seed: 0,
             costs: CostModel::Uniform,
             budget: None,
             deadline: None,
@@ -241,7 +231,7 @@ impl<'a> SolveContext<'a> {
 
     /// Install per-vertex costs, making every algorithm threaded through this
     /// context weight-aware. [`Solver::solve_with`] sets this automatically
-    /// when the solver's objective is [`Objective::MinWeight`] and its cost
+    /// when the request's objective is [`Objective::MinWeight`] and its cost
     /// model is non-uniform; all weight-aware code paths are *ordering*
     /// refinements that degenerate exactly to the unweighted behavior under
     /// equal weights (see [`crate::request`] for the argument).
@@ -388,7 +378,6 @@ impl<'a> SolveContext<'a> {
     /// Capture the budget state for propagation into per-shard contexts.
     pub(crate) fn snapshot(&self) -> ContextSnapshot {
         ContextSnapshot {
-            seed: self.seed,
             costs: self.costs.clone(),
             budget: self.budget,
             deadline: self.deadline,
@@ -408,7 +397,6 @@ impl<'a> SolveContext<'a> {
 /// [`crate::partition`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ContextSnapshot {
-    seed: u64,
     costs: CostModel,
     budget: Option<Duration>,
     deadline: Option<Instant>,
@@ -416,11 +404,9 @@ pub(crate) struct ContextSnapshot {
 }
 
 impl ContextSnapshot {
-    /// A fresh context sharing this snapshot's seed, costs, and armed
-    /// deadline.
+    /// A fresh context sharing this snapshot's costs and armed deadline.
     pub(crate) fn materialize(&self) -> SolveContext<'static> {
         SolveContext {
-            seed: self.seed,
             costs: self.costs.clone(),
             budget: self.budget,
             deadline: self.deadline,
@@ -433,48 +419,32 @@ impl ContextSnapshot {
     }
 }
 
-/// A hop-constrained cycle cover algorithm as a configured value.
+/// How a solve covers 2-cycles (bidirectional edge pairs) when its
+/// constraint asks for them — the Table IV dimension of the paper.
 ///
-/// Implemented by every per-family configuration struct in the crate
-/// ([`TopDownConfig`], [`BottomUpConfig`], [`DarcDvConfig`],
-/// [`ParallelConfig`]), which is what lets harnesses hold a heterogeneous
-/// `Box<dyn CoverAlgorithm>` and sweep algorithms uniformly.
-pub trait CoverAlgorithm {
-    /// Display name used in tables and metrics (`"TDB++"`, `"BUR+"`, ...).
-    fn name(&self) -> &'static str;
-
-    /// Compute a cover of `g` under `constraint`, honoring the budget and
-    /// progress callback carried by `ctx`.
-    fn solve(
-        &self,
-        g: &CsrGraph,
-        constraint: &HopConstraint,
-        ctx: &mut SolveContext,
-    ) -> Result<CoverRun, SolveError>;
-}
-
-/// How a [`Solver`] treats 2-cycles (bidirectional edge pairs), the Table IV
-/// dimension of the paper.
+/// Whether 2-cycles count at all is decided by the constraint alone
+/// ([`HopConstraint::include_two_cycles`], which
+/// [`CoverRequest::include_two_cycles`] builds). Under a plain `3..=k`
+/// constraint both modes run the same solve and return the same cover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TwoCycleMode {
-    /// Cover whatever the caller's [`HopConstraint`] asks for (the default):
-    /// 2-cycles are covered iff `constraint.include_two_cycles` is set.
+    /// The configured algorithm covers lengths `2..=k` in one pass (the
+    /// default).
     #[default]
-    FollowConstraint,
-    /// Force Table IV mode: the constraint is upgraded to
-    /// [`HopConstraint::with_two_cycles`] regardless of what the caller passed,
-    /// and the configured algorithm covers lengths `2..=k` directly.
     Integrated,
-    /// The paper's "verify 2-cycles separately" strategy, generalized from
-    /// [`crate::two_cycle::combined_cover`] to every algorithm: a minimal
-    /// matching-based 2-cycle cover is computed first, and the configured
-    /// algorithm then covers the `3..=k` cycles of the residual graph. The
-    /// union is valid for `2..=k` but typically a little larger than
-    /// [`TwoCycleMode::Integrated`].
+    /// The paper's "verify 2-cycles separately" strategy: a minimal
+    /// matching-based 2-cycle cover first ([`minimal_two_cycle_cover`]),
+    /// then the configured algorithm covers the `3..=k` cycles of the
+    /// residual graph. The union is valid for `2..=k` but not guaranteed
+    /// minimal. It was nevertheless smaller *and* faster than
+    /// [`TwoCycleMode::Integrated`] on every reciprocated graph measured
+    /// (see [`crate::two_cycle`]); the `table4_twocycles` bench reproduces
+    /// the comparison. Its metrics carry the label
+    /// `2CYC+<algorithm>`.
     Separate,
 }
 
-/// Whether and how a [`Solver`] partitions the graph into strongly connected
+/// Whether and how a solve partitions the graph into strongly connected
 /// components and solves them as independent shards.
 ///
 /// Every constrained cycle lies inside one SCC, so the cover of a graph is the
@@ -503,37 +473,30 @@ impl ShardingMode {
         !matches!(self, ShardingMode::Off)
     }
 
-    /// Worker threads this mode resolves to (`None` for [`ShardingMode::Off`]).
+    /// Worker threads this mode resolves to (`None` for [`ShardingMode::Off`]);
+    /// "available parallelism" falls back to `1` when the platform cannot
+    /// report it.
     pub fn resolved_threads(&self) -> Option<usize> {
         match *self {
             ShardingMode::Off => None,
-            ShardingMode::Auto | ShardingMode::Threads(0) => Some(available_threads()),
+            ShardingMode::Auto | ShardingMode::Threads(0) => Some(
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1),
+            ),
             ShardingMode::Threads(n) => Some(n),
         }
     }
 }
 
-/// The machine's available parallelism, defaulting to `1` when the platform
-/// cannot report it — the one resolution behind every "`0` = number of CPUs"
-/// knob in the crate ([`ShardingMode`], [`crate::parallel::ParallelConfig`]).
-pub(crate) fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The unified entry point: configure once, solve any graph.
+/// The executor of one [`CoverRequest`].
 ///
-/// `Solver` is the execution engine behind [`CoverRequest`]:
-/// [`Solver::from_request`] is the primary constructor, mapping a request's
-/// [`Algorithm`] to its family configuration and applying the shared options
-/// (objective, costs, budget, scan order, threads, time budget, seed,
-/// sharding) in one place. The `with_*` builders are delegating sugar over
-/// the same fields for call sites that start from [`Solver::new`].
-///
-/// [`Solver::solve`] returns the raw [`CoverRun`] (cover + metrics);
-/// [`Solver::solve_report`] additionally applies the [`Budget`], prices the
-/// cover, and (on request) explains it — see [`CoverReport`].
+/// A solver holds nothing but the request it runs, and every option is a
+/// field of that request. The hop constraint is passed to each solve
+/// explicitly, so the request's `k` and `include_two_cycles` are not
+/// consulted here; [`CoverRequest::solve`] passes
+/// [`CoverRequest::constraint`] and adds the budget, pricing and explanation
+/// of a [`CoverReport`](crate::CoverReport) on top.
 ///
 /// ```
 /// use tdb_core::prelude::*;
@@ -548,244 +511,43 @@ pub(crate) fn available_threads() -> usize {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solver {
-    algorithm: Algorithm,
-    scan_order: Option<ScanOrder>,
-    threads: usize,
-    time_budget: Option<Duration>,
-    seed: u64,
-    two_cycle_mode: TwoCycleMode,
-    sharding: ShardingMode,
-    objective: Objective,
-    costs: CostModel,
-    budget: Budget,
-    explain: bool,
-    residual_cap: usize,
+    request: CoverRequest,
 }
 
 impl Solver {
-    /// A solver for `algorithm` with that algorithm's default configuration.
+    /// A solver for `algorithm` with the defaults of [`CoverRequest::new`].
     pub fn new(algorithm: Algorithm) -> Self {
         Solver::from_request(CoverRequest::new(algorithm, 0))
     }
 
-    /// The primary constructor: a solver executing `request`.
-    ///
-    /// The request's `k`/`include_two_cycles` are carried by the
-    /// [`HopConstraint`] passed to the solve methods
-    /// ([`CoverRequest::constraint`] builds it); everything else maps onto
-    /// solver state here.
+    /// A solver executing `request`.
     pub fn from_request(request: CoverRequest) -> Self {
-        Solver {
-            algorithm: request.algorithm,
-            scan_order: request.scan_order,
-            threads: request.threads,
-            time_budget: request.time_budget,
-            seed: request.seed,
-            two_cycle_mode: request.two_cycle_mode,
-            sharding: request.sharding,
-            objective: request.objective,
-            costs: request.costs,
-            budget: request.budget,
-            explain: request.explain,
-            residual_cap: request.residual_cap,
-        }
+        Solver { request }
     }
 
-    /// The algorithm this solver runs.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+    /// The request this solver executes.
+    pub fn request(&self) -> &CoverRequest {
+        &self.request
     }
 
-    /// What this solver minimizes (see [`Objective`]).
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    /// Per-vertex removal costs, consulted by [`Objective::MinWeight`] and
-    /// [`Budget::MaxCost`].
-    pub fn with_costs(mut self, costs: CostModel) -> Self {
-        self.costs = costs;
-        self
-    }
-
-    /// Operational cap applied by [`Solver::solve_report`] (see [`Budget`]).
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Have [`Solver::solve_report`] compute per-breaker statistics
-    /// ([`CoverReport::breaker_stats`]).
-    pub fn with_explain(mut self, explain: bool) -> Self {
-        self.explain = explain;
-        self
-    }
-
-    /// Cap on residual cycles enumerated by a budget-exhausted report.
-    pub fn with_residual_cap(mut self, cap: usize) -> Self {
-        self.residual_cap = cap;
-        self
-    }
-
-    /// The configured objective.
-    pub fn objective(&self) -> Objective {
-        self.objective
-    }
-
-    /// The configured cost model.
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> Budget {
-        self.budget
-    }
-
-    /// Override the vertex scan order (top-down and parallel families; the
-    /// bottom-up and DARC families scan ascending by construction and ignore
-    /// this).
-    pub fn with_scan_order(mut self, order: ScanOrder) -> Self {
-        self.scan_order = Some(order);
-        self
-    }
-
-    /// Worker threads for the parallel family (`0` = number of CPUs). Ignored
-    /// by the sequential algorithms.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Wall-clock budget: [`Solver::solve`] returns
-    /// [`SolveError::BudgetExceeded`] instead of running past it.
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
-        self
-    }
-
-    /// Seed for randomized choices (currently the [`ScanOrder::Random`]
-    /// permutation when no explicit seed was pinned in the order itself).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Also cover 2-cycles (Table IV mode), regardless of the constraint the
-    /// caller passes to [`Solver::solve`].
-    ///
-    /// `with_two_cycles(true)` selects [`TwoCycleMode::Integrated`]; `false`
-    /// restores the default [`TwoCycleMode::FollowConstraint`]. Use
-    /// [`Solver::with_two_cycle_mode`] for the separate two-phase strategy.
-    pub fn with_two_cycles(self, enabled: bool) -> Self {
-        self.with_two_cycle_mode(if enabled {
-            TwoCycleMode::Integrated
-        } else {
-            TwoCycleMode::FollowConstraint
-        })
-    }
-
-    /// Select how 2-cycles are handled (see [`TwoCycleMode`]).
-    pub fn with_two_cycle_mode(mut self, mode: TwoCycleMode) -> Self {
-        self.two_cycle_mode = mode;
-        self
-    }
-
-    /// The configured 2-cycle handling.
-    pub fn two_cycle_mode(&self) -> TwoCycleMode {
-        self.two_cycle_mode
-    }
-
-    /// Partition the graph into strongly connected components and solve them
-    /// as independent shards (see [`ShardingMode`]).
-    ///
-    /// Composes with every [`Algorithm`] and every [`TwoCycleMode`]: each
-    /// shard runs the fully configured per-shard pipeline. With the default
-    /// ascending scan order the merged cover is identical to the unsharded
-    /// one; order variants that consult global degrees may differ in
-    /// composition but remain valid and minimal.
-    ///
-    /// A progress callback installed on the context is coarse-grained under
-    /// sharding: shards run on worker threads that cannot reach the caller's
-    /// (non-`Sync`) callback, so it fires per *completed pipeline*, not per
-    /// scanned vertex. For [`Algorithm::TdbParallel`] with auto thread count
-    /// (`with_threads(0)`), each shard's inner pre-filter is pinned to one
-    /// thread — the shard workers themselves are the parallelism.
-    pub fn with_sharding(mut self, mode: ShardingMode) -> Self {
-        self.sharding = mode;
-        self
-    }
-
-    /// The solver each shard runs: this configuration, except that the
-    /// parallel family's *auto* inner thread count is pinned to 1 so that
-    /// shard workers do not multiply against `available_parallelism` (an
-    /// explicit `with_threads(n)` is honored as given).
-    pub(crate) fn shard_solver(&self) -> Solver {
-        let mut shard = self.clone();
-        if matches!(self.algorithm, Algorithm::TdbParallel) && shard.threads == 0 {
-            shard.threads = 1;
-        }
-        shard
-    }
-
-    /// The configured sharding mode.
-    pub fn sharding_mode(&self) -> ShardingMode {
-        self.sharding
-    }
-
-    /// The scan order the configured algorithm will use.
-    fn resolved_scan_order(&self) -> ScanOrder {
-        match self.scan_order {
-            Some(ScanOrder::Random(0)) => ScanOrder::Random(self.seed),
-            Some(order) => order,
-            None => ScanOrder::Ascending,
-        }
-    }
-
-    /// Materialize the configured algorithm as a boxed [`CoverAlgorithm`].
-    ///
-    /// This is the single mapping from the [`Algorithm`] enum to the
-    /// per-family configuration structs; everything downstream dispatches
-    /// through the trait.
-    pub fn build_algorithm(&self) -> Box<dyn CoverAlgorithm> {
-        let order = self.resolved_scan_order();
-        match self.algorithm {
-            Algorithm::Bur => Box::new(BottomUpConfig::bur()),
-            Algorithm::BurPlus => Box::new(BottomUpConfig::bur_plus()),
-            Algorithm::DarcDv => Box::new(DarcDvConfig::new()),
-            Algorithm::Tdb => Box::new(TopDownConfig::tdb().with_scan_order(order)),
-            Algorithm::TdbPlus => Box::new(TopDownConfig::tdb_plus().with_scan_order(order)),
-            Algorithm::TdbPlusPlus => {
-                Box::new(TopDownConfig::tdb_plus_plus().with_scan_order(order))
-            }
-            Algorithm::TdbExtended => Box::new(TopDownConfig::extended().with_scan_order(order)),
-            Algorithm::TdbParallel => Box::new(ParallelConfig {
-                num_threads: self.threads,
-                scan_order: order,
-            }),
-        }
-    }
-
-    /// A fresh [`SolveContext`] carrying this solver's seed, time budget, and
+    /// A fresh [`SolveContext`] carrying the request's time budget and
     /// (under [`Objective::MinWeight`] with a non-uniform model) per-vertex
     /// costs.
     pub fn context(&self) -> SolveContext<'static> {
         let mut ctx = SolveContext::new();
-        ctx.seed = self.seed;
-        if let Some(budget) = self.time_budget {
+        if let Some(budget) = self.request.time_budget {
             ctx.set_time_budget(budget);
         }
         if self.weight_aware() {
-            ctx.set_vertex_costs(self.costs.clone());
+            ctx.set_vertex_costs(self.request.costs.clone());
         }
         ctx
     }
 
-    /// Whether this solver threads costs into the algorithms: the objective
+    /// Whether this solve threads costs into the algorithms: the objective
     /// must ask for weight and the model must actually distinguish vertices.
     fn weight_aware(&self) -> bool {
-        self.objective == Objective::MinWeight && !self.costs.is_uniform()
+        self.request.objective == Objective::MinWeight && !self.request.costs.is_uniform()
     }
 
     /// Compute a cover of `g` under `constraint`.
@@ -796,6 +558,10 @@ impl Solver {
 
     /// Compute a cover using a caller-provided context (for accumulating
     /// metrics across solves or installing a progress callback).
+    ///
+    /// Under sharding the progress callback is coarse-grained: shards run on
+    /// worker threads that cannot reach the caller's (non-`Sync`) callback,
+    /// so it fires once for the completed solve, not per scanned vertex.
     pub fn solve_with(
         &self,
         g: &CsrGraph,
@@ -804,99 +570,70 @@ impl Solver {
     ) -> Result<CoverRun, SolveError> {
         ctx.arm();
         if self.weight_aware() && ctx.vertex_costs().is_uniform() {
-            ctx.set_vertex_costs(self.costs.clone());
+            ctx.set_vertex_costs(self.request.costs.clone());
         }
-        match self.sharding.resolved_threads() {
+        match self.request.sharding.resolved_threads() {
             None => self.solve_shard(g, constraint, ctx),
             Some(threads) => crate::partition::solve_sharded(self, g, constraint, ctx, threads),
         }
     }
 
-    /// Compute a structured [`CoverReport`]: solve, apply the configured
-    /// [`Budget`], price the cover, and — when a budget dropped vertices or
-    /// explanation was requested — enumerate residual cycles and per-breaker
-    /// statistics.
-    ///
-    /// Budget trimming ranks the computed cover by cost-effectiveness (total
-    /// degree per unit cost) and keeps the best vertices that fit; under
-    /// sharding the cap is enforced here, globally on the merged cover, so a
-    /// large shard's high-value breakers win over a small shard's marginal
-    /// ones (the largest-first shard queue makes them available first).
-    pub fn solve_report(
-        &self,
-        g: &CsrGraph,
-        constraint: &HopConstraint,
-    ) -> Result<CoverReport, SolveError> {
-        let mut ctx = self.context();
-        self.solve_report_with(g, constraint, &mut ctx)
-    }
-
-    /// [`Solver::solve_report`] with a caller-provided context.
-    pub fn solve_report_with(
-        &self,
-        g: &CsrGraph,
-        constraint: &HopConstraint,
-        ctx: &mut SolveContext,
-    ) -> Result<CoverReport, SolveError> {
-        let run = self.solve_with(g, constraint, ctx)?;
-        // Residual/explain enumeration must use the constraint the cover was
-        // actually computed under, not the caller's literal one.
-        let effective = match self.two_cycle_mode {
-            TwoCycleMode::FollowConstraint => *constraint,
-            TwoCycleMode::Integrated | TwoCycleMode::Separate => {
-                HopConstraint::with_two_cycles(constraint.max_hops)
-            }
-        };
-        let (kept, exhausted) = request::apply_budget(g, &run.cover, self.budget, &self.costs);
-        let residual = if exhausted {
-            request::enumerate_residual(g, &kept, &effective, self.residual_cap)
-        } else {
-            Vec::new()
-        };
-        let breaker_stats = if self.explain {
-            request::breaker_statistics(g, &run.cover, &kept, &effective, &self.costs)
-        } else {
-            Vec::new()
-        };
-        Ok(CoverReport {
-            total_cost: self.costs.total(kept.iter()),
-            cover: kept,
-            metrics: run.metrics,
-            exhausted,
-            residual,
-            breaker_stats,
-        })
-    }
-
-    /// The per-shard (equivalently: unsharded) solve pipeline — two-cycle-mode
-    /// dispatch over an already-armed context. The sharded executor calls this
-    /// once per extracted component.
+    /// The per-shard (equivalently: unsharded) solve pipeline over an
+    /// already-armed context. The sharded executor calls this once per
+    /// extracted component.
     pub(crate) fn solve_shard(
         &self,
         g: &CsrGraph,
         constraint: &HopConstraint,
         ctx: &mut SolveContext,
     ) -> Result<CoverRun, SolveError> {
-        match self.two_cycle_mode {
-            TwoCycleMode::FollowConstraint => self.build_algorithm().solve(g, constraint, ctx),
-            TwoCycleMode::Integrated => {
-                let upgraded = HopConstraint::with_two_cycles(constraint.max_hops);
-                self.build_algorithm().solve(g, &upgraded, ctx)
-            }
-            TwoCycleMode::Separate => self.solve_separate(g, constraint.max_hops, ctx),
+        if self.separates_two_cycles(constraint) {
+            self.solve_separate(g, constraint, ctx)
+        } else {
+            self.run_algorithm(g, constraint, ctx)
         }
     }
 
-    /// The `metrics.algorithm` label this solver's per-shard pipeline
-    /// reports: the algorithm's display name, prefixed with `2CYC+` in the
-    /// [`TwoCycleMode::Separate`] strategy. The single source of that format
-    /// — [`solve_separate`](Solver::solve_separate) and the sharded merge
-    /// both use it.
-    pub(crate) fn metrics_label(&self) -> String {
-        match self.two_cycle_mode {
-            TwoCycleMode::Separate => format!("2CYC+{}", self.algorithm.name()),
-            _ => self.algorithm.name().to_string(),
+    /// Whether the [`TwoCycleMode::Separate`] pass runs under `constraint`:
+    /// the request must ask for it and the constraint must count 2-cycles.
+    fn separates_two_cycles(&self, constraint: &HopConstraint) -> bool {
+        self.request.two_cycle_mode == TwoCycleMode::Separate && constraint.include_two_cycles
+    }
+
+    /// The `metrics.algorithm` label of the per-shard pipeline under
+    /// `constraint`: the algorithm's display name, prefixed with `2CYC+` when
+    /// the separate 2-cycle pass runs. The sharded merge reuses it.
+    pub(crate) fn metrics_label(&self, constraint: &HopConstraint) -> String {
+        let name = self.request.algorithm.name();
+        if self.separates_two_cycles(constraint) {
+            format!("2CYC+{name}")
+        } else {
+            name.to_string()
         }
+    }
+
+    /// Run the request's algorithm through its family's `_with` entry point.
+    fn run_algorithm(
+        &self,
+        g: &CsrGraph,
+        constraint: &HopConstraint,
+        ctx: &mut SolveContext,
+    ) -> Result<CoverRun, SolveError> {
+        let config = match self.request.algorithm {
+            Algorithm::Bur => {
+                return bottom_up_cover_with(g, constraint, &BottomUpConfig::bur(), ctx)
+            }
+            Algorithm::BurPlus => {
+                return bottom_up_cover_with(g, constraint, &BottomUpConfig::bur_plus(), ctx)
+            }
+            Algorithm::DarcDv => return darc_dv_cover_with(g, constraint, ctx),
+            Algorithm::Tdb => TopDownConfig::tdb(),
+            Algorithm::TdbPlus => TopDownConfig::tdb_plus(),
+            Algorithm::TdbPlusPlus => TopDownConfig::tdb_plus_plus(),
+            Algorithm::TdbExtended => TopDownConfig::extended(),
+        };
+        let config = config.with_scan_order(self.request.scan_order);
+        top_down_cover_with(g, constraint, &config, ctx)
     }
 
     /// The [`TwoCycleMode::Separate`] strategy: minimal 2-cycle cover first,
@@ -904,7 +641,7 @@ impl Solver {
     fn solve_separate(
         &self,
         g: &CsrGraph,
-        k: usize,
+        constraint: &HopConstraint,
         ctx: &mut SolveContext,
     ) -> Result<CoverRun, SolveError> {
         let timer = Timer::start();
@@ -916,12 +653,11 @@ impl Solver {
         }
         let residual = g.remove_vertices(&scratch.mask);
         ctx.restore_scratch(scratch);
-        let rest = self
-            .build_algorithm()
-            .solve(&residual, &HopConstraint::new(k), ctx)?;
+        let plain = HopConstraint::new(constraint.max_hops);
+        let rest = self.run_algorithm(&residual, &plain, ctx)?;
 
         let mut metrics = rest.metrics;
-        metrics.algorithm = self.metrics_label();
+        metrics.algorithm = self.metrics_label(constraint);
         metrics.include_two_cycles = true;
         metrics.working_edges = g.num_edges();
         let mut vertices: Vec<VertexId> = two.into_vertices();
@@ -938,7 +674,16 @@ impl Solver {
 mod tests {
     use super::*;
     use crate::verify::verify_cover;
-    use tdb_graph::gen::{complete_digraph, erdos_renyi_gnm};
+    use tdb_graph::gen::{
+        complete_digraph, erdos_renyi_gnm, preferential_attachment, PreferentialConfig,
+    };
+
+    fn budgeted(budget: Duration) -> Solver {
+        Solver::from_request(CoverRequest {
+            time_budget: Some(budget),
+            ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+        })
+    }
 
     #[test]
     fn solver_runs_every_algorithm() {
@@ -956,10 +701,7 @@ mod tests {
     fn zero_budget_is_reported_not_ignored() {
         let g = complete_digraph(12);
         let constraint = HopConstraint::new(4);
-        let err = Solver::new(Algorithm::TdbPlusPlus)
-            .with_time_budget(Duration::ZERO)
-            .solve(&g, &constraint)
-            .unwrap_err();
+        let err = budgeted(Duration::ZERO).solve(&g, &constraint).unwrap_err();
         assert!(matches!(err, SolveError::BudgetExceeded { .. }));
         let msg = err.to_string();
         assert!(msg.contains("budget"), "{msg}");
@@ -973,13 +715,8 @@ mod tests {
         let constraint = HopConstraint::new(4);
         let mut ctx = SolveContext::new();
         ctx.set_time_budget(Duration::ZERO);
-        let err = crate::top_down::top_down_cover_with(
-            &g,
-            &constraint,
-            &TopDownConfig::tdb_plus_plus(),
-            &mut ctx,
-        )
-        .unwrap_err();
+        let err = top_down_cover_with(&g, &constraint, &TopDownConfig::tdb_plus_plus(), &mut ctx)
+            .unwrap_err();
         assert!(matches!(err, SolveError::BudgetExceeded { .. }));
     }
 
@@ -987,8 +724,7 @@ mod tests {
     fn generous_budget_solves_normally() {
         let g = erdos_renyi_gnm(25, 100, 2);
         let constraint = HopConstraint::new(4);
-        let run = Solver::new(Algorithm::TdbPlusPlus)
-            .with_time_budget(Duration::from_secs(60))
+        let run = budgeted(Duration::from_secs(60))
             .solve(&g, &constraint)
             .unwrap();
         assert!(verify_cover(&g, &run.cover, &constraint).is_valid);
@@ -1025,17 +761,14 @@ mod tests {
             solver.solve_with(&g, &constraint, &mut ctx).unwrap();
         }
         assert!(calls > 0, "progress callback never invoked");
-        assert_eq!(last_total, g_num_vertices(&g));
+        assert_eq!(last_total, g.num_vertices() as u64);
     }
 
-    fn g_num_vertices(g: &CsrGraph) -> u64 {
-        use tdb_graph::Graph;
-        g.num_vertices() as u64
-    }
-
+    /// The request's 2-cycle switch is the one place that upgrades the
+    /// constraint: its solve equals a solve under
+    /// [`HopConstraint::with_two_cycles`], for every algorithm.
     #[test]
     fn two_cycle_builder_upgrades_the_constraint() {
-        use tdb_graph::gen::{preferential_attachment, PreferentialConfig};
         let g = preferential_attachment(&PreferentialConfig {
             num_vertices: 80,
             out_degree: 3,
@@ -1043,32 +776,27 @@ mod tests {
             random_rewire: 0.15,
             seed: 11,
         });
-        let plain = HopConstraint::new(4);
         let upgraded = HopConstraint::with_two_cycles(4);
         for algorithm in Algorithm::all() {
-            let via_builder = Solver::new(algorithm)
-                .with_two_cycles(true)
-                .solve(&g, &plain)
-                .unwrap();
+            let request = CoverRequest {
+                include_two_cycles: true,
+                ..CoverRequest::new(algorithm, 4)
+            };
+            assert_eq!(request.constraint(), upgraded);
+            let via_request = request.solve(&g).unwrap();
             let via_constraint = Solver::new(algorithm).solve(&g, &upgraded).unwrap();
-            assert_eq!(via_builder.cover, via_constraint.cover, "{algorithm}");
-            assert!(via_builder.metrics.include_two_cycles, "{algorithm}");
+            assert_eq!(via_request.cover, via_constraint.cover, "{algorithm}");
+            assert!(via_request.metrics.include_two_cycles, "{algorithm}");
             assert!(
-                verify_cover(&g, &via_builder.cover, &upgraded).is_valid,
+                verify_cover(&g, &via_request.cover, &upgraded).is_valid,
                 "{algorithm}"
             );
         }
-        // Turning the flag back off restores FollowConstraint.
-        let solver = Solver::new(Algorithm::TdbPlusPlus)
-            .with_two_cycles(true)
-            .with_two_cycles(false);
-        assert_eq!(solver.two_cycle_mode(), TwoCycleMode::FollowConstraint);
     }
 
     #[test]
     fn separate_two_cycle_mode_is_valid_and_labelled() {
         use crate::two_cycle::covers_all_two_cycles;
-        use tdb_graph::gen::{preferential_attachment, PreferentialConfig};
         let g = preferential_attachment(&PreferentialConfig {
             num_vertices: 100,
             out_degree: 3,
@@ -1076,12 +804,14 @@ mod tests {
             random_rewire: 0.1,
             seed: 29,
         });
+        let plain = HopConstraint::new(4);
         let upgraded = HopConstraint::with_two_cycles(4);
         for algorithm in [Algorithm::TdbPlusPlus, Algorithm::BurPlus] {
-            let run = Solver::new(algorithm)
-                .with_two_cycle_mode(TwoCycleMode::Separate)
-                .solve(&g, &HopConstraint::new(4))
-                .unwrap();
+            let separate = Solver::from_request(CoverRequest {
+                two_cycle_mode: TwoCycleMode::Separate,
+                ..CoverRequest::new(algorithm, 4)
+            });
+            let run = separate.solve(&g, &upgraded).unwrap();
             assert!(
                 verify_cover(&g, &run.cover, &upgraded).is_valid,
                 "{algorithm}"
@@ -1093,22 +823,37 @@ mod tests {
                 "{algorithm}"
             );
             assert!(run.metrics.include_two_cycles);
+
+            // Under a plain 3..=k constraint the mode is inert: exactly the
+            // plain cover, under the plain label.
+            let inert = separate.solve(&g, &plain).unwrap();
+            let reference = Solver::new(algorithm).solve(&g, &plain).unwrap();
+            assert_eq!(inert.cover, reference.cover, "{algorithm}");
+            assert_eq!(inert.metrics.algorithm, algorithm.name(), "{algorithm}");
+            assert!(!inert.metrics.include_two_cycles, "{algorithm}");
         }
     }
 
+    /// The seed of a random scan lives in `ScanOrder::Random` itself: the
+    /// request's order reaches the top-down scan unchanged, `Random(0)`
+    /// included.
     #[test]
-    fn random_scan_order_uses_solver_seed() {
+    fn random_scan_order_seed_is_carried_by_the_order() {
+        use crate::top_down::ScanOrder;
         let g = complete_digraph(9);
         let constraint = HopConstraint::new(4);
-        let a = Solver::new(Algorithm::TdbPlusPlus)
-            .with_scan_order(ScanOrder::Random(0))
-            .with_seed(123)
+        for seed in [0u64, 123] {
+            let order = ScanOrder::Random(seed);
+            let via_request = Solver::from_request(CoverRequest {
+                scan_order: order,
+                ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+            })
             .solve(&g, &constraint)
             .unwrap();
-        let b = Solver::new(Algorithm::TdbPlusPlus)
-            .with_scan_order(ScanOrder::Random(123))
-            .solve(&g, &constraint)
-            .unwrap();
-        assert_eq!(a.cover, b.cover);
+            let config = TopDownConfig::tdb_plus_plus().with_scan_order(order);
+            let direct =
+                top_down_cover_with(&g, &constraint, &config, &mut SolveContext::new()).unwrap();
+            assert_eq!(via_request.cover, direct.cover, "seed {seed}");
+        }
     }
 }

@@ -35,7 +35,7 @@ use tdb_graph::{Graph, VertexId};
 
 use crate::cover::{CoverRun, CycleCover, RunMetrics};
 use crate::minimal::SearchEngine;
-use crate::solver::{CoverAlgorithm, SolveContext, SolveError, SolveScratch};
+use crate::solver::{SolveContext, SolveError, SolveScratch};
 use crate::stats::Timer;
 
 /// Order in which the top-down scan processes vertices.
@@ -143,13 +143,8 @@ impl TopDownConfig {
 }
 
 /// Compute the scan order as an explicit permutation of the vertex ids, into a
-/// reusable buffer. Shared with the parallel variant so both scans order
-/// vertices identically.
-pub(crate) fn scan_permutation_into<G: Graph>(
-    g: &G,
-    order: ScanOrder,
-    vertices: &mut Vec<VertexId>,
-) {
+/// reusable buffer.
+fn scan_permutation_into<G: Graph>(g: &G, order: ScanOrder, vertices: &mut Vec<VertexId>) {
     let n = g.num_vertices();
     vertices.clear();
     vertices.extend(0..n as VertexId);
@@ -177,7 +172,7 @@ pub(crate) fn scan_permutation_into<G: Graph>(
 /// permutation). The sort is stable and keyed on cost alone, so under equal
 /// weights it is the identity and the unweighted scan order is preserved
 /// bit-exactly.
-pub(crate) fn order_costly_first(costs: &tdb_graph::CostModel, vertices: &mut [VertexId]) {
+fn order_costly_first(costs: &tdb_graph::CostModel, vertices: &mut [VertexId]) {
     if costs.is_uniform() {
         return;
     }
@@ -321,21 +316,6 @@ fn top_down_scan<G: Graph>(
         cover: CycleCover::from_vertices(cover_vertices),
         metrics,
     })
-}
-
-impl CoverAlgorithm for TopDownConfig {
-    fn name(&self) -> &'static str {
-        TopDownConfig::name(self)
-    }
-
-    fn solve(
-        &self,
-        g: &tdb_graph::CsrGraph,
-        constraint: &HopConstraint,
-        ctx: &mut SolveContext,
-    ) -> Result<CoverRun, SolveError> {
-        top_down_cover_with(g, constraint, self, ctx)
-    }
 }
 
 #[cfg(test)]

@@ -123,15 +123,21 @@ fn reported_redundancy_is_real() {
     }
 }
 
-/// The combined 2-cycle + top-down strategy always yields a cover valid for
-/// the 2..=k constraint.
+/// The combined 2-cycle + top-down strategy (a `Separate` TDB++ request)
+/// always yields a cover valid for the 2..=k constraint.
 #[test]
 fn combined_two_cycle_strategy_valid() {
     for case in 0..48u64 {
         let mut rng = Xoshiro256::seed_from_u64(4000 + case);
         let g = random_graph(&mut rng, 14, 50);
         let k = 3 + rng.next_index(3);
-        let run = combined_cover(&g, k, &TopDownConfig::tdb_plus_plus());
+        let run = CoverRequest {
+            include_two_cycles: true,
+            two_cycle_mode: TwoCycleMode::Separate,
+            ..CoverRequest::new(Algorithm::TdbPlusPlus, k)
+        }
+        .solve(&g)
+        .unwrap();
         assert!(
             verify_by_enumeration(
                 &g,
@@ -142,24 +148,5 @@ fn combined_two_cycle_strategy_valid() {
             .is_ok(),
             "case {case}"
         );
-    }
-}
-
-/// The parallel candidate mask is exactly the set of vertices lying on some
-/// constrained cycle of the full graph.
-#[test]
-fn parallel_candidates_exact() {
-    for case in 0..48u64 {
-        let mut rng = Xoshiro256::seed_from_u64(5000 + case);
-        let g = random_graph(&mut rng, 16, 60);
-        let k = 3 + rng.next_index(3);
-        let constraint = HopConstraint::new(k);
-        let candidates = tdb_core::parallel::parallel_cycle_candidates(&g, &constraint, 3);
-        let active = ActiveSet::all_active(g.num_vertices());
-        let cycles = enumerate_cycles(&g, &active, &constraint, 1_000_000);
-        for v in g.vertices() {
-            let on_cycle = cycles.iter().any(|c| c.contains(&v));
-            assert_eq!(candidates[v as usize], on_cycle, "case {case}: vertex {v}");
-        }
     }
 }

@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use tdb_core::minimal::{minimal_prune_candidates_with, SearchEngine};
-use tdb_core::solver::{SolveContext, SolveError, SolveScratch, Solver, TwoCycleMode};
+use tdb_core::solver::{SolveContext, SolveError, SolveScratch, Solver};
 use tdb_core::{Algorithm, CycleCover, Objective, RunMetrics};
 use tdb_cycle::{EdgeCycleSearcher, HopConstraint};
 use tdb_graph::scc::tarjan_scc;
@@ -660,27 +660,18 @@ impl SolveDynamic for Solver {
         config: DynamicConfig,
     ) -> Result<DynamicCover, SolveError> {
         let run = self.solve(&graph, constraint)?;
-        // A solver in a 2-cycle mode (`with_two_cycles` / `TwoCycleMode`)
-        // seeds a cover for lengths 2..=k even when the caller passed a plain
-        // constraint. The engine must maintain what the seed actually covers,
-        // or the first update would silently drop the Table IV semantics
-        // (insert repairs skipping new 2-cycles, minimize stripping vertices
-        // that only break 2-cycles).
-        let maintained = match self.two_cycle_mode() {
-            TwoCycleMode::FollowConstraint => *constraint,
-            TwoCycleMode::Integrated | TwoCycleMode::Separate => {
-                HopConstraint::with_two_cycles(constraint.max_hops)
-            }
-        };
+        // The seed covers exactly `constraint` (only the constraint decides
+        // whether 2-cycles count), so the engine maintains exactly that.
         // Mirror the static solver's gating: the engine goes weight-aware
         // exactly when the seeding solve did.
-        let costs = if self.objective() == Objective::MinWeight {
-            self.costs().clone()
+        let request = self.request();
+        let costs = if request.objective == Objective::MinWeight {
+            request.costs.clone()
         } else {
             CostModel::Uniform
         };
         Ok(
-            DynamicCover::from_cover_with_config(graph, run.cover, maintained, config)
+            DynamicCover::from_cover_with_config(graph, run.cover, *constraint, config)
                 .with_vertex_costs(costs),
         )
     }
@@ -690,6 +681,7 @@ impl SolveDynamic for Solver {
 mod tests {
     use super::*;
     use tdb_core::verify::verify_cover;
+    use tdb_core::{CoverRequest, TwoCycleMode};
     use tdb_graph::builder::graph_from_edges;
     use tdb_graph::gen::{directed_cycle, erdos_renyi_gnm};
     use tdb_graph::Graph;
@@ -876,15 +868,23 @@ mod tests {
 
     #[test]
     fn two_cycle_solver_mode_is_carried_into_maintenance() {
-        // Regression: a solver in Table IV mode seeds a 2..=k cover; the
-        // engine must keep maintaining 2..=k, not the caller's plain 3..=k.
+        // Regression: a Table IV solve seeds a 2..=k cover; the engine must
+        // keep maintaining 2..=k in either 2-cycle mode. It keeps exactly the
+        // constraint it was given, so a plain 3..=k solve stays plain.
         let g = graph_from_edges(&[(0, 1), (1, 0), (1, 2), (2, 3)]);
+        let two = HopConstraint::with_two_cycles(4);
+        let plain = HopConstraint::new(4);
         for mode in [TwoCycleMode::Integrated, TwoCycleMode::Separate] {
-            let mut d = Solver::new(Algorithm::TdbPlusPlus)
-                .with_two_cycle_mode(mode)
-                .solve_dynamic(g.clone(), &HopConstraint::new(4))
-                .unwrap();
-            assert!(d.constraint().include_two_cycles, "{mode:?}");
+            let solver = Solver::from_request(CoverRequest {
+                two_cycle_mode: mode,
+                ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+            });
+            let d = solver.solve_dynamic(g.clone(), &plain).unwrap();
+            assert_eq!(*d.constraint(), plain, "{mode:?}");
+            assert!(d.cover().is_empty(), "{mode:?}: no 3..=4 cycle to cover");
+
+            let mut d = solver.solve_dynamic(g.clone(), &two).unwrap();
+            assert_eq!(*d.constraint(), two, "{mode:?}");
             assert!(!d.cover().is_empty(), "{mode:?}: the 2-cycle needs cover");
             // minimize() must not strip the 2-cycle breaker...
             d.minimize();
@@ -1047,17 +1047,21 @@ mod tests {
     fn solve_dynamic_threads_the_solver_cost_model() {
         let g = graph_from_edges(&[(0, 1), (1, 2)]);
         let costs = CostModel::from_fn(3, |v| (v as u64 + 1) * 10);
-        let d = Solver::new(Algorithm::TdbPlusPlus)
-            .with_objective(Objective::MinWeight)
-            .with_costs(costs)
-            .solve_dynamic(g.clone(), &HopConstraint::new(4))
-            .unwrap();
+        let d = Solver::from_request(CoverRequest {
+            objective: Objective::MinWeight,
+            costs,
+            ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+        })
+        .solve_dynamic(g.clone(), &HopConstraint::new(4))
+        .unwrap();
         assert!(!d.vertex_costs().is_uniform());
         // Without MinWeight the costs stay behind: uniform engine.
-        let d = Solver::new(Algorithm::TdbPlusPlus)
-            .with_costs(CostModel::from_fn(3, |_| 7))
-            .solve_dynamic(g, &HopConstraint::new(4))
-            .unwrap();
+        let d = Solver::from_request(CoverRequest {
+            costs: CostModel::from_fn(3, |_| 7),
+            ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+        })
+        .solve_dynamic(g, &HopConstraint::new(4))
+        .unwrap();
         assert!(d.vertex_costs().is_uniform());
     }
 

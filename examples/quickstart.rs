@@ -1,5 +1,6 @@
 //! Quickstart: build a graph, compute a hop-constrained cycle cover with every
-//! algorithm family through the unified `Solver` API, and verify the results.
+//! algorithm family through one `CoverRequest`/`Solver` surface, and verify
+//! the results.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -66,11 +67,7 @@ fn main() {
     let graph = erdos_renyi_gnm(2_000, 10_000, 42);
     let constraint = HopConstraint::new(4);
     println!("\nrandom G(2000, 10000), k = 4:");
-    for algorithm in [
-        Algorithm::TdbPlusPlus,
-        Algorithm::TdbExtended,
-        Algorithm::TdbParallel,
-    ] {
+    for algorithm in [Algorithm::TdbPlusPlus, Algorithm::TdbExtended] {
         let run = Solver::new(algorithm).solve(&graph, &constraint).unwrap();
         let verification = verify_cover(&graph, &run.cover, &constraint);
         println!(
@@ -85,20 +82,21 @@ fn main() {
     }
 
     // --- 3. Time budgets -------------------------------------------------------
-    // A solver with a time budget fails fast instead of running unbounded: the
-    // exhaustive BUR baseline cannot finish this graph in a millisecond.
-    match Solver::new(Algorithm::Bur)
-        .with_time_budget(Duration::from_millis(1))
-        .solve(&graph, &constraint)
-    {
+    // A request with a time budget fails fast instead of running unbounded:
+    // the exhaustive BUR baseline cannot finish this graph in a millisecond.
+    let budgeted = CoverRequest {
+        time_budget: Some(Duration::from_millis(1)),
+        ..CoverRequest::new(Algorithm::Bur, 4)
+    };
+    match budgeted.solve(&graph) {
         Err(SolveError::BudgetExceeded { budget, elapsed }) => println!(
             "\nBUR with a {:.0}ms budget stopped after {:.3}ms, as intended",
             budget.as_secs_f64() * 1e3,
             elapsed.as_secs_f64() * 1e3
         ),
-        Ok(run) => println!(
+        Ok(report) => println!(
             "\nBUR finished within the 1ms budget (size {}) — fast machine!",
-            run.cover_size()
+            report.cover_size()
         ),
         Err(other) => panic!("unexpected solve error: {other}"),
     }

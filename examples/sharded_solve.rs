@@ -4,7 +4,7 @@
 //! Real service graphs — payment flows per region, dependency graphs per
 //! tenant — decompose into many medium-sized SCCs joined by acyclic traffic.
 //! Every hop-constrained cycle lives inside one SCC, so the cover problem
-//! shards exactly: `Solver::with_sharding` solves the components
+//! shards exactly: a request with `sharding` set solves the components
 //! concurrently and merges the per-shard covers, reproducing the unsharded
 //! result.
 //!
@@ -49,10 +49,12 @@ fn main() {
     let plain_time = start.elapsed();
 
     let start = Instant::now();
-    let sharded = Solver::new(Algorithm::TdbPlusPlus)
-        .with_sharding(ShardingMode::Auto)
-        .solve(&g, &constraint)
-        .expect("unbudgeted solve cannot fail");
+    let sharded = Solver::from_request(CoverRequest {
+        sharding: ShardingMode::Auto,
+        ..CoverRequest::new(Algorithm::TdbPlusPlus, constraint.max_hops)
+    })
+    .solve(&g, &constraint)
+    .expect("unbudgeted solve cannot fail");
     let sharded_time = start.elapsed();
 
     println!(

@@ -12,8 +12,9 @@
 //! * [`cycle`] (`tdb-cycle`) — hop-constrained cycle search primitives: naive
 //!   DFS, block/barrier DFS, BFS filter, bounded enumeration.
 //! * [`core`] (`tdb-core`) — the cover algorithms (`BUR`, `BUR+`, `DARC-DV`,
-//!   `TDB`, `TDB+`, `TDB++`, parallel extension) behind the unified
-//!   [`Solver`](tdb_core::Solver) API, and the verifier.
+//!   `TDB`, `TDB+`, `TDB++`, the `TDB++X` extension) behind one
+//!   [`CoverRequest`](tdb_core::CoverRequest), executed by
+//!   [`Solver`](tdb_core::Solver), and the verifier.
 //! * [`dynamic`] (`tdb-dynamic`) — incremental cover maintenance over
 //!   streaming edge updates: a [`DeltaGraph`](tdb_graph::DeltaGraph) overlay
 //!   plus the [`DynamicCover`](tdb_dynamic::DynamicCover) engine, reached
@@ -59,13 +60,29 @@
 //! assert!(verify_cover(&graph, &run.cover, &constraint).is_valid_and_minimal());
 //! ```
 //!
-//! A solver is configured once and reused: scan order, worker threads, a
-//! wall-clock budget, 2-cycle handling (`with_two_cycles`, Table IV mode),
-//! and SCC sharding (`with_sharding` — solve every strongly connected
-//! component as an independent concurrent shard, exactly reproducing the
-//! unsharded cover) all hang off the builder, and a budgeted solve returns
+//! Every option is a field of one [`CoverRequest`](tdb_core::CoverRequest),
+//! set with struct-update syntax: scan order, a wall-clock budget, 2-cycles
+//! (`include_two_cycles`, Table IV mode, covered in one pass or separately
+//! per `two_cycle_mode`), and SCC sharding (`sharding` — solve every
+//! strongly connected component as an independent concurrent shard, exactly
+//! reproducing the unsharded cover). A budgeted solve returns
 //! [`SolveError::BudgetExceeded`](tdb_core::SolveError) instead of running
 //! unbounded.
+//!
+//! ```
+//! use std::time::Duration;
+//! use tdb::prelude::*;
+//!
+//! let graph = tdb::graph::gen::erdos_renyi_gnm(200, 800, 3);
+//! let request = CoverRequest {
+//!     include_two_cycles: true,
+//!     sharding: ShardingMode::Auto,
+//!     time_budget: Some(Duration::from_secs(30)),
+//!     ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+//! };
+//! let report = request.solve(&graph).unwrap();
+//! assert!(verify_cover(&graph, &report.cover, &request.constraint()).is_valid);
+//! ```
 //!
 //! ## Streaming
 //!

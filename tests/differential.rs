@@ -9,14 +9,14 @@
 //! * every cover is **valid** (verified independently by
 //!   `tdb_core::verify`);
 //! * algorithms that guarantee minimality (`BUR+` via Algorithm 7, the
-//!   top-down family via Theorem 7) produce **minimal** covers in the
-//!   `FollowConstraint` and `Integrated` modes;
+//!   top-down family via Theorem 7) produce **minimal** covers in the plain
+//!   and `Integrated` configurations;
 //! * the SCC-**sharded** solve returns the **same cover** as the unsharded
 //!   one (the partition argument: every constrained cycle lives inside one
 //!   SCC, and the extraction's id remap is monotone);
-//! * the **top-down variants** (`TDB`, `TDB+`, `TDB++`, `TDB++X`,
-//!   `TDB++/par`) return **identical covers** — the filters only skip work,
-//!   never change decisions (paper §VII-B);
+//! * the **top-down variants** (`TDB`, `TDB+`, `TDB++`, `TDB++X`) return
+//!   **identical covers** — the filters only skip work, never change
+//!   decisions (paper §VII-B);
 //! * `Objective::MinWeight` under **all-1 weights** reproduces the
 //!   `MinCardinality` cover **bit-exactly** in every configuration — the
 //!   weight hooks are stable orderings and `u128` cross-multiplications
@@ -85,10 +85,15 @@ fn families() -> Vec<Family> {
 }
 
 const HOP_BOUNDS: [usize; 2] = [3, 5];
-const TWO_CYCLE_MODES: [TwoCycleMode; 3] = [
-    TwoCycleMode::FollowConstraint,
-    TwoCycleMode::Integrated,
-    TwoCycleMode::Separate,
+
+/// The two-cycle axis: `(label, whether the constraint counts 2-cycles, how
+/// they are covered)`. The two 2-cycle configurations solve under
+/// [`HopConstraint::with_two_cycles`]; the plain one under
+/// [`HopConstraint::new`], where the mode is inert.
+const TWO_CYCLE_MODES: [(&str, bool, TwoCycleMode); 3] = [
+    ("plain", false, TwoCycleMode::Integrated),
+    ("2cyc-integrated", true, TwoCycleMode::Integrated),
+    ("2cyc-separate", true, TwoCycleMode::Separate),
 ];
 
 /// Whether this algorithm guarantees a minimal cover in this two-cycle mode.
@@ -96,25 +101,9 @@ const TWO_CYCLE_MODES: [TwoCycleMode; 3] = [
 /// `BUR` skips the Algorithm-7 pruning pass by definition; `DARC-DV` maps an
 /// edge-minimal line-graph transversal to vertices, which is not
 /// vertex-minimal; and the `Separate` mode unions two independently minimal
-/// covers, which the solver documents as possibly oversized.
+/// covers, which the solver documents as not guaranteed minimal.
 fn guarantees_minimal(algorithm: Algorithm, mode: TwoCycleMode) -> bool {
     !matches!(algorithm, Algorithm::Bur | Algorithm::DarcDv) && mode != TwoCycleMode::Separate
-}
-
-/// The constraint a cover produced under `mode` must actually satisfy.
-fn effective_constraint(k: usize, mode: TwoCycleMode) -> HopConstraint {
-    match mode {
-        TwoCycleMode::FollowConstraint => HopConstraint::new(k),
-        TwoCycleMode::Integrated | TwoCycleMode::Separate => HopConstraint::with_two_cycles(k),
-    }
-}
-
-fn mode_label(mode: TwoCycleMode) -> &'static str {
-    match mode {
-        TwoCycleMode::FollowConstraint => "plain",
-        TwoCycleMode::Integrated => "2cyc-integrated",
-        TwoCycleMode::Separate => "2cyc-separate",
-    }
 }
 
 /// Run the full matrix, assert every documented property, and return the
@@ -130,21 +119,30 @@ fn run_matrix() -> String {
     for family in families() {
         let g = &family.graph;
         for k in HOP_BOUNDS {
-            for mode in TWO_CYCLE_MODES {
-                let constraint = HopConstraint::new(k);
-                let check = effective_constraint(k, mode);
+            for (mode_label, two_cycles, mode) in TWO_CYCLE_MODES {
+                let constraint = if two_cycles {
+                    HopConstraint::with_two_cycles(k)
+                } else {
+                    HopConstraint::new(k)
+                };
                 let mut top_down_reference: Option<CycleCover> = None;
                 for algorithm in Algorithm::all() {
-                    let label = format!("{}/k={k}/{}/{algorithm}", family.name, mode_label(mode));
-                    let plain = Solver::new(algorithm)
-                        .with_two_cycle_mode(mode)
-                        .solve(g, &constraint)
-                        .unwrap_or_else(|e| panic!("{label}: unsharded solve failed: {e}"));
-                    let sharded = Solver::new(algorithm)
-                        .with_two_cycle_mode(mode)
-                        .with_sharding(ShardingMode::Threads(3))
-                        .solve(g, &constraint)
-                        .unwrap_or_else(|e| panic!("{label}: sharded solve failed: {e}"));
+                    let label = format!("{}/k={k}/{mode_label}/{algorithm}", family.name);
+                    let request = CoverRequest {
+                        two_cycle_mode: mode,
+                        ..CoverRequest::new(algorithm, k)
+                    };
+                    let solve = |request: CoverRequest, what: &str| {
+                        Solver::from_request(request)
+                            .solve(g, &constraint)
+                            .unwrap_or_else(|e| panic!("{label}: {what} solve failed: {e}"))
+                    };
+                    let sharded_request = CoverRequest {
+                        sharding: ShardingMode::Threads(3),
+                        ..request.clone()
+                    };
+                    let plain = solve(request.clone(), "unsharded");
+                    let sharded = solve(sharded_request.clone(), "sharded");
 
                     // Sharded must reproduce the unsharded cover exactly: the
                     // default scan order is ascending and the extraction's id
@@ -161,31 +159,32 @@ fn run_matrix() -> String {
                     // model (not Uniform) so the weight-aware code paths
                     // actually run.
                     let unit = CostModel::from_fn(g.num_vertices(), |_| 1);
-                    let weighted = Solver::new(algorithm)
-                        .with_two_cycle_mode(mode)
-                        .with_objective(Objective::MinWeight)
-                        .with_costs(unit.clone())
-                        .solve(g, &constraint)
-                        .unwrap_or_else(|e| panic!("{label}: all-1 MinWeight solve failed: {e}"));
+                    let weighted = solve(
+                        CoverRequest {
+                            objective: Objective::MinWeight,
+                            costs: unit.clone(),
+                            ..request
+                        },
+                        "all-1 MinWeight",
+                    );
                     assert_eq!(
                         weighted.cover, plain.cover,
                         "{label}: all-1 MinWeight cover differs from MinCardinality"
                     );
-                    let weighted_sharded = Solver::new(algorithm)
-                        .with_two_cycle_mode(mode)
-                        .with_objective(Objective::MinWeight)
-                        .with_costs(unit)
-                        .with_sharding(ShardingMode::Threads(3))
-                        .solve(g, &constraint)
-                        .unwrap_or_else(|e| {
-                            panic!("{label}: sharded all-1 MinWeight solve failed: {e}")
-                        });
+                    let weighted_sharded = solve(
+                        CoverRequest {
+                            objective: Objective::MinWeight,
+                            costs: unit,
+                            ..sharded_request
+                        },
+                        "sharded all-1 MinWeight",
+                    );
                     assert_eq!(
                         weighted_sharded.cover, plain.cover,
                         "{label}: sharded all-1 MinWeight cover differs from MinCardinality"
                     );
 
-                    let verification = verify_cover(g, &plain.cover, &check);
+                    let verification = verify_cover(g, &plain.cover, &constraint);
                     assert!(
                         verification.is_valid,
                         "{label}: invalid cover, witness {:?}",
@@ -207,7 +206,6 @@ fn run_matrix() -> String {
                             | Algorithm::TdbPlus
                             | Algorithm::TdbPlusPlus
                             | Algorithm::TdbExtended
-                            | Algorithm::TdbParallel
                     ) {
                         match &top_down_reference {
                             None => top_down_reference = Some(plain.cover.clone()),
@@ -220,9 +218,8 @@ fn run_matrix() -> String {
 
                     writeln!(
                         summary,
-                        "| {} | {k} | {} | {algorithm} | {} | {} | yes | {} |",
+                        "| {} | {k} | {mode_label} | {algorithm} | {} | {} | yes | {} |",
                         family.name,
-                        mode_label(mode),
                         plain.cover.len(),
                         sharded.cover.len(),
                         if minimal_required {
@@ -256,10 +253,10 @@ fn differential_matrix_holds_across_all_configurations() {
             eprintln!("note: could not write {path}: {e}");
         }
     }
-    // 4 families x 2 hop bounds x 3 modes x 8 algorithms data rows, plus the
+    // 4 families x 2 hop bounds x 3 modes x 7 algorithms data rows, plus the
     // header row (the `|---|` separator does not start with a pipe + space).
     let rows = summary.lines().filter(|l| l.starts_with("| ")).count();
-    assert_eq!(rows, 4 * 2 * 3 * 8 + 1, "matrix data rows + header");
+    assert_eq!(rows, 4 * 2 * 3 * 7 + 1, "matrix data rows + header");
 }
 
 /// Audit one budgeted report against the graph it was solved on:

@@ -28,34 +28,26 @@ use tdb_graph::io::{read_binary, write_binary};
 const K: usize = 4;
 
 /// The algorithms in `Algorithm::all()` order — the column order of `GOLDEN`.
-fn algorithms() -> [Algorithm; 8] {
+fn algorithms() -> [Algorithm; 7] {
     Algorithm::all()
 }
 
-/// Expected cover sizes: `(fixture, [plain sizes; 8], [2-cycle sizes; 8])`,
+/// Expected cover sizes: `(fixture, [plain sizes; 7], [2-cycle sizes; 7])`,
 /// columns in `Algorithm::all()` order (BUR, BUR+, DARC-DV, TDB, TDB+,
-/// TDB++, TDB++X, TDB++/par).
-const GOLDEN: [(&str, [usize; 8], [usize; 8]); 4] = [
+/// TDB++, TDB++X).
+const GOLDEN: [(&str, [usize; 7], [usize; 7]); 4] = [
     (
         "erdos_renyi",
-        [14, 10, 24, 10, 10, 10, 10, 10],
-        [14, 12, 25, 11, 11, 11, 11, 11],
+        [14, 10, 24, 10, 10, 10, 10],
+        [14, 12, 25, 11, 11, 11, 11],
     ),
     (
         "preferential",
-        [8, 7, 35, 16, 16, 16, 16, 16],
-        [19, 16, 38, 19, 19, 19, 19, 19],
+        [8, 7, 35, 16, 16, 16, 16],
+        [19, 16, 38, 19, 19, 19, 19],
     ),
-    (
-        "multi_scc",
-        [3, 3, 3, 3, 3, 3, 3, 3],
-        [3, 3, 3, 3, 3, 3, 3, 3],
-    ),
-    (
-        "small_world",
-        [6, 5, 7, 5, 5, 5, 5, 5],
-        [6, 5, 7, 5, 5, 5, 5, 5],
-    ),
+    ("multi_scc", [3, 3, 3, 3, 3, 3, 3], [3, 3, 3, 3, 3, 3, 3]),
+    ("small_world", [6, 5, 7, 5, 5, 5, 5], [6, 5, 7, 5, 5, 5, 5]),
 ];
 
 fn fixtures_dir() -> PathBuf {
@@ -91,8 +83,8 @@ fn generate(name: &str) -> CsrGraph {
     }
 }
 
-fn solve_sizes(g: &CsrGraph, constraint: &HopConstraint) -> [usize; 8] {
-    let mut sizes = [0usize; 8];
+fn solve_sizes(g: &CsrGraph, constraint: &HopConstraint) -> [usize; 7] {
+    let mut sizes = [0usize; 7];
     for (slot, algorithm) in sizes.iter_mut().zip(algorithms()) {
         *slot = Solver::new(algorithm)
             .solve(g, constraint)
@@ -142,10 +134,12 @@ fn golden_fixture_sizes_hold_under_sharding() {
     for (name, plain_sizes, _) in GOLDEN {
         let g = read_binary(fixtures_dir().join(format!("{name}.tdbg"))).unwrap();
         for (i, algorithm) in algorithms().into_iter().enumerate() {
-            let run = Solver::new(algorithm)
-                .with_sharding(ShardingMode::Threads(2))
-                .solve(&g, &HopConstraint::new(K))
-                .unwrap();
+            let run = CoverRequest {
+                sharding: ShardingMode::Threads(2),
+                ..CoverRequest::new(algorithm, K)
+            }
+            .solve(&g)
+            .unwrap();
             assert_eq!(
                 run.cover_size(),
                 plain_sizes[i],
@@ -158,7 +152,7 @@ fn golden_fixture_sizes_hold_under_sharding() {
 fn regenerate() {
     let dir = fixtures_dir();
     std::fs::create_dir_all(&dir).expect("create fixtures dir");
-    println!("const GOLDEN: [(&str, [usize; 8], [usize; 8]); 4] = [");
+    println!("const GOLDEN: [(&str, [usize; 7], [usize; 7]); 4] = [");
     for (name, _, _) in GOLDEN {
         let g = generate(name);
         write_binary(&g, dir.join(format!("{name}.tdbg"))).expect("write fixture");

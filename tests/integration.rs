@@ -43,17 +43,6 @@ fn every_algorithm_is_valid_on_dataset_proxies() {
 }
 
 #[test]
-fn top_down_and_parallel_agree_on_proxies() {
-    let constraint = HopConstraint::new(5);
-    for dataset in [Dataset::EmailEuAll, Dataset::WebGoogle] {
-        let g = tiny_proxy(dataset);
-        let sequential = solve(&g, &constraint, Algorithm::TdbPlusPlus);
-        let parallel = solve(&g, &constraint, Algorithm::TdbParallel);
-        assert_eq!(sequential.cover, parallel.cover, "{dataset:?}");
-    }
-}
-
-#[test]
 fn graph_io_round_trip_preserves_cover_results() {
     let g = tiny_proxy(Dataset::Slashdot0902);
     let constraint = HopConstraint::new(4);

@@ -71,10 +71,12 @@ fn check_equivalence(g: &CsrGraph, k: usize, algorithm: Algorithm, seed_label: u
         .solve(g, &constraint)
         .expect("unbudgeted solve cannot fail");
     for threads in [1usize, 4] {
-        let sharded = Solver::new(algorithm)
-            .with_sharding(ShardingMode::Threads(threads))
-            .solve(g, &constraint)
-            .expect("unbudgeted solve cannot fail");
+        let sharded = Solver::from_request(CoverRequest {
+            sharding: ShardingMode::Threads(threads),
+            ..CoverRequest::new(algorithm, k)
+        })
+        .solve(g, &constraint)
+        .expect("unbudgeted solve cannot fail");
         assert_eq!(
             sharded.cover, plain.cover,
             "case {seed_label}, {algorithm}, k={k}, threads={threads}: covers differ"
@@ -124,10 +126,12 @@ fn all_trivial_graph_partitions_into_zero_shards_and_agrees() {
     let g = tdb_graph::gen::layered_dag(5, 6);
     let cond = Condensation::of(&g);
     assert_eq!(cond.non_trivial().count(), 0);
-    let run = Solver::new(Algorithm::TdbPlusPlus)
-        .with_sharding(ShardingMode::Auto)
-        .solve(&g, &HopConstraint::new(5))
-        .unwrap();
+    let run = CoverRequest {
+        sharding: ShardingMode::Auto,
+        ..CoverRequest::new(Algorithm::TdbPlusPlus, 5)
+    }
+    .solve(&g)
+    .unwrap();
     assert!(run.cover.is_empty());
     assert_eq!(run.metrics.scc_released as usize, g.num_vertices());
     assert_eq!(run.metrics.cycle_queries, 0);
@@ -140,15 +144,18 @@ fn sharding_composes_with_two_cycle_modes_on_random_graphs() {
         let mut rng = Xoshiro256::seed_from_u64(0x7C_u64 ^ (case << 9));
         let g = random_multi_scc(&mut rng);
         for mode in [TwoCycleMode::Integrated, TwoCycleMode::Separate] {
-            let plain = Solver::new(Algorithm::TdbPlusPlus)
-                .with_two_cycle_mode(mode)
-                .solve(&g, &HopConstraint::new(4))
-                .unwrap();
-            let sharded = Solver::new(Algorithm::TdbPlusPlus)
-                .with_two_cycle_mode(mode)
-                .with_sharding(ShardingMode::Threads(2))
-                .solve(&g, &HopConstraint::new(4))
-                .unwrap();
+            let request = CoverRequest {
+                include_two_cycles: true,
+                two_cycle_mode: mode,
+                ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+            };
+            let plain = request.solve(&g).unwrap();
+            let sharded = CoverRequest {
+                sharding: ShardingMode::Threads(2),
+                ..request
+            }
+            .solve(&g)
+            .unwrap();
             assert_eq!(sharded.cover, plain.cover, "case {case}, {mode:?}");
             assert!(
                 is_valid_cover(&g, &sharded.cover, &HopConstraint::with_two_cycles(4)),

@@ -104,11 +104,7 @@ fn minimal_algorithms_are_minimal() {
         let g = random_graph(&mut rng, 14, 50);
         let k = random_k(&mut rng, 3, 6);
         let constraint = HopConstraint::new(k);
-        for algorithm in [
-            Algorithm::BurPlus,
-            Algorithm::TdbPlusPlus,
-            Algorithm::TdbParallel,
-        ] {
+        for algorithm in [Algorithm::BurPlus, Algorithm::TdbPlusPlus] {
             let run = solve(&g, &constraint, algorithm);
             let verdict = verify_cover(&g, &run.cover, &constraint);
             assert!(
@@ -120,7 +116,7 @@ fn minimal_algorithms_are_minimal() {
     }
 }
 
-/// The TDB variants all compute the same cover, and the parallel extension
+/// The TDB variants all compute the same cover, and the `TDB++X` extension
 /// matches them too.
 #[test]
 fn tdb_variants_identical() {
@@ -134,7 +130,6 @@ fn tdb_variants_identical() {
             Algorithm::TdbPlus,
             Algorithm::TdbPlusPlus,
             Algorithm::TdbExtended,
-            Algorithm::TdbParallel,
         ] {
             let run = solve(&g, &constraint, algorithm);
             assert_eq!(

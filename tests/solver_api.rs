@@ -1,5 +1,6 @@
-//! Acceptance tests for the unified `Solver` API: equivalence with the legacy
-//! free functions, lossless `Algorithm` parsing, and budget enforcement.
+//! Acceptance tests for the one solve surface (`CoverRequest`, executed by
+//! `Solver`): equivalence with the per-family `_with` entry points, lossless
+//! `Algorithm` parsing, and budget enforcement.
 
 use std::time::Duration;
 
@@ -49,9 +50,6 @@ fn legacy_cover(g: &CsrGraph, constraint: &HopConstraint, algorithm: Algorithm) 
         Algorithm::TdbExtended => {
             top_down_cover_with(g, constraint, &TopDownConfig::extended(), ctx)
         }
-        Algorithm::TdbParallel => {
-            parallel_top_down_cover_with(g, constraint, &ParallelConfig::default(), ctx)
-        }
     }
     .expect("unbudgeted solve cannot fail")
 }
@@ -91,8 +89,8 @@ fn every_algorithm_is_runnable_via_solver() {
 }
 
 /// `Algorithm` parsing accepts every `name()` output losslessly, including
-/// the awkward ones (`TDB++X`, `TDB++/par`), in any case, and rejects unknown
-/// names with a typed error.
+/// the awkward `TDB++X`, in any case, and rejects unknown names with a typed
+/// error.
 #[test]
 fn algorithm_from_str_display_round_trip() {
     for algorithm in Algorithm::all() {
@@ -105,14 +103,10 @@ fn algorithm_from_str_display_round_trip() {
         );
         assert_eq!(algorithm.to_string(), name);
     }
-    // The two historically lossy names must parse.
+    // The historically lossy name must parse.
     assert_eq!(
         "TDB++X".parse::<Algorithm>().unwrap(),
         Algorithm::TdbExtended
-    );
-    assert_eq!(
-        "TDB++/par".parse::<Algorithm>().unwrap(),
-        Algorithm::TdbParallel
     );
 
     let err = "turbo-cover".parse::<Algorithm>().unwrap_err();
@@ -127,8 +121,8 @@ fn algorithm_from_str_display_round_trip() {
     }
 }
 
-/// A solver with an impossible budget reports `BudgetExceeded` instead of
-/// running unbounded — for the sequential, exhaustive, and parallel families.
+/// A request with an impossible budget reports `BudgetExceeded` instead of
+/// running unbounded — for the top-down and the exhaustive families.
 #[test]
 fn time_budget_interrupts_instead_of_running_unbounded() {
     let g = preferential_attachment(&PreferentialConfig {
@@ -139,14 +133,12 @@ fn time_budget_interrupts_instead_of_running_unbounded() {
         seed: 9,
     });
     let constraint = HopConstraint::new(5);
-    for algorithm in [
-        Algorithm::TdbPlusPlus,
-        Algorithm::Bur,
-        Algorithm::TdbParallel,
-    ] {
-        let result = Solver::new(algorithm)
-            .with_time_budget(Duration::ZERO)
-            .solve(&g, &constraint);
+    for algorithm in [Algorithm::TdbPlusPlus, Algorithm::Bur] {
+        let result = Solver::from_request(CoverRequest {
+            time_budget: Some(Duration::ZERO),
+            ..CoverRequest::new(algorithm, 5)
+        })
+        .solve(&g, &constraint);
         match result {
             Err(SolveError::BudgetExceeded { budget, .. }) => {
                 assert_eq!(budget, Duration::ZERO, "{algorithm}")
@@ -165,15 +157,17 @@ fn generous_budget_does_not_change_the_cover() {
     let unbudgeted = Solver::new(Algorithm::TdbPlusPlus)
         .solve(&g, &constraint)
         .unwrap();
-    let budgeted = Solver::new(Algorithm::TdbPlusPlus)
-        .with_time_budget(Duration::from_secs(120))
-        .solve(&g, &constraint)
-        .unwrap();
+    let budgeted = Solver::from_request(CoverRequest {
+        time_budget: Some(Duration::from_secs(120)),
+        ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+    })
+    .solve(&g, &constraint)
+    .unwrap();
     assert_eq!(unbudgeted.cover, budgeted.cover);
 }
 
-/// Builder options flow through: scan order changes the top-down result the
-/// same way the legacy config did, and threads reach the parallel family.
+/// Request options flow through: scan order changes the top-down result the
+/// same way the family config does.
 #[test]
 fn builder_options_are_honored() {
     let g = complete_digraph(8);
@@ -191,22 +185,13 @@ fn builder_options_are_honored() {
             &mut SolveContext::new(),
         )
         .unwrap();
-        let unified = Solver::new(Algorithm::TdbPlusPlus)
-            .with_scan_order(order)
-            .solve(&g, &constraint)
-            .unwrap();
-        assert_eq!(unified.cover, legacy.cover, "{order:?}");
-    }
-
-    let sequential = Solver::new(Algorithm::TdbPlusPlus)
-        .solve(&g, &constraint)
+        let unified = CoverRequest {
+            scan_order: order,
+            ..CoverRequest::new(Algorithm::TdbPlusPlus, 4)
+        }
+        .solve(&g)
         .unwrap();
-    for threads in [1usize, 2, 4] {
-        let parallel = Solver::new(Algorithm::TdbParallel)
-            .with_threads(threads)
-            .solve(&g, &constraint)
-            .unwrap();
-        assert_eq!(parallel.cover, sequential.cover, "threads {threads}");
+        assert_eq!(unified.cover, legacy.cover, "{order:?}");
     }
 }
 
