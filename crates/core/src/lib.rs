@@ -217,7 +217,7 @@ pub mod prelude {
     pub use crate::bottom_up::{bottom_up_cover_with, BottomUpConfig};
     pub use crate::cover::{CoverRun, CycleCover, RunMetrics};
     pub use crate::darc::darc_dv_cover_with;
-    pub use crate::minimal::{minimal_prune, minimal_prune_candidates_with, SearchEngine};
+    pub use crate::minimal::{minimal_prune, SearchEngine};
     pub use crate::partition::{Partition, Partitioner, Shard};
     pub use crate::request::{
         BreakerStat, Budget, CoverReport, CoverRequest, Cycle, Objective, DEFAULT_RESIDUAL_CAP,

@@ -46,6 +46,14 @@ pub fn minimal_prune<V: GraphView>(
 
 /// Budget-aware variant of [`minimal_prune`]: checks the context's deadline
 /// once per examined cover vertex.
+///
+/// Weight-aware examination order: drop the costliest redundant breaker
+/// first. Algorithm 7 is correct under any order (a removed vertex stays
+/// active for subsequent checks regardless), and examining expensive vertices
+/// first means a costly redundancy is committed before the cheap vertices
+/// that would re-justify it are tested — so the surviving minimal cover skews
+/// cheap. The stable cost-keyed sort is the identity under equal weights,
+/// preserving the unweighted (ascending id) order bit-exactly.
 pub fn minimal_prune_with<V: GraphView>(
     g: &V,
     cover: &mut CycleCover,
@@ -54,52 +62,16 @@ pub fn minimal_prune_with<V: GraphView>(
     metrics: &mut RunMetrics,
     ctx: &mut SolveContext,
 ) -> Result<usize, SolveError> {
-    let candidates: Vec<VertexId> = cover.iter().collect();
-    minimal_prune_candidates_with(g, cover, &candidates, constraint, engine, metrics, ctx)
-}
-
-/// Algorithm 7 restricted to a candidate subset of the cover.
-///
-/// Only the vertices of `candidates` (which must be a subset of `cover`) are
-/// examined for redundancy; the rest of the cover is held fixed. This is what
-/// makes component-scoped re-minimization in `tdb-dynamic` sound *and* cheap:
-/// a caller that can prove the untested cover vertices still have intact
-/// witness cycles (e.g. because their strongly connected component saw no
-/// update) skips one cycle query per skipped vertex, and removing a candidate
-/// can never make a non-candidate redundant — pruning only ever *adds* active
-/// vertices, hence only adds cycles through the others.
-pub fn minimal_prune_candidates_with<V: GraphView>(
-    g: &V,
-    cover: &mut CycleCover,
-    candidates: &[VertexId],
-    constraint: &HopConstraint,
-    engine: SearchEngine,
-    metrics: &mut RunMetrics,
-    ctx: &mut SolveContext,
-) -> Result<usize, SolveError> {
+    let mut candidates: Vec<VertexId> = cover.iter().collect();
+    let costs = ctx.vertex_costs();
+    if !costs.is_uniform() {
+        candidates.sort_by_key(|&v| std::cmp::Reverse(costs.cost(v)));
+    }
     let mut scratch = ctx.take_scratch();
-    // Weight-aware examination order: drop the costliest redundant breaker
-    // first. Algorithm 7 is correct under any candidate order (a removed
-    // vertex stays active for subsequent checks regardless), and examining
-    // expensive vertices first means a costly redundancy is committed before
-    // the cheap vertices that would re-justify it are tested — so the
-    // surviving minimal cover skews cheap. The stable cost-keyed sort is the
-    // identity under equal weights, preserving the unweighted order
-    // bit-exactly.
-    let ordered: Vec<VertexId>;
-    let candidates = if ctx.vertex_costs().is_uniform() {
-        candidates
-    } else {
-        let costs = ctx.vertex_costs().clone();
-        let mut by_cost = candidates.to_vec();
-        by_cost.sort_by_key(|&v| std::cmp::Reverse(costs.cost(v)));
-        ordered = by_cost;
-        &ordered
-    };
     let result = prune_candidates(
         g,
         cover,
-        candidates,
+        &candidates,
         constraint,
         engine,
         metrics,
@@ -272,44 +244,6 @@ mod tests {
         let (pruned, _) = prune(&g, vec![0, 2], &constraint, SearchEngine::Naive);
         assert_eq!(pruned.len(), 1);
         assert!(redundant_vertices(&g, &pruned, &constraint).is_empty());
-    }
-
-    #[test]
-    fn candidate_restriction_only_touches_the_candidates() {
-        // Two disjoint triangles, both vertices of the first in the cover:
-        // one of them is redundant, but only candidates may be removed.
-        let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        let constraint = HopConstraint::new(3);
-        let mut cover = CycleCover::from_vertices(vec![0, 1, 3]);
-        let mut metrics = RunMetrics::new("test", 3, false);
-        let mut ctx = SolveContext::new();
-        // Restrict to vertex 3 (still needed): nothing changes, one query.
-        let removed = minimal_prune_candidates_with(
-            &g,
-            &mut cover,
-            &[3],
-            &constraint,
-            SearchEngine::Block,
-            &mut metrics,
-            &mut ctx,
-        )
-        .unwrap();
-        assert_eq!(removed, 0);
-        assert_eq!(metrics.cycle_queries, 1);
-        assert_eq!(cover.as_slice(), &[0, 1, 3]);
-        // Restrict to vertex 0: it is redundant (1 also breaks the triangle).
-        let removed = minimal_prune_candidates_with(
-            &g,
-            &mut cover,
-            &[0],
-            &constraint,
-            SearchEngine::Block,
-            &mut metrics,
-            &mut ctx,
-        )
-        .unwrap();
-        assert_eq!(removed, 1);
-        assert_eq!(cover.as_slice(), &[1, 3]);
     }
 
     #[test]

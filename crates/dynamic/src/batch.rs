@@ -166,10 +166,8 @@ pub struct UpdateMetrics {
     pub edge_queries: u64,
     /// Vertices removed by lazy re-minimization during this window.
     pub pruned: u64,
-    /// Cover vertices actually re-examined by re-minimization. The
-    /// component-scoped minimize skips cover vertices whose strongly
-    /// connected component saw no update, so under localized churn this stays
-    /// far below the cover size.
+    /// Cover vertices re-examined by re-minimization: the cover size at each
+    /// minimize pass that ran (a pass on a clean cover is skipped).
     pub minimize_checked: u64,
     /// Delta compactions triggered.
     pub compactions: u64,

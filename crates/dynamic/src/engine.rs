@@ -14,10 +14,10 @@
 //!   already covered, so validity is restored exactly when the loop exits.
 //! * **Removal** of an edge only destroys cycles, so the cover stays valid
 //!   unconditionally — but vertices may have become redundant. The engine
-//!   marks the cover *dirty* and re-minimizes lazily (on demand via
-//!   [`DynamicCover::minimize`], or per batch with
-//!   [`DynamicConfig::auto_minimize`]) by running the paper's Algorithm 7
-//!   (`tdb_core::minimal`) directly over the [`DeltaGraph`] overlay.
+//!   marks the cover *dirty* and re-minimizes on demand
+//!   ([`DynamicCover::minimize`]) by running the paper's Algorithm 7
+//!   (`tdb_core::minimal`) over the whole cover, directly on the
+//!   [`DeltaGraph`] overlay.
 //!
 //! Minimality is therefore *eventual*: always restorable in one
 //! [`DynamicCover::minimize`] call, while validity is unconditional — the
@@ -29,12 +29,11 @@
 
 use std::time::Instant;
 
-use tdb_core::minimal::{minimal_prune_candidates_with, SearchEngine};
+use tdb_core::minimal::{minimal_prune_with, SearchEngine};
 use tdb_core::solver::{SolveContext, SolveError, SolveScratch, Solver};
 use tdb_core::{Algorithm, CycleCover, Objective, RunMetrics};
 use tdb_cycle::{EdgeCycleSearcher, HopConstraint};
-use tdb_graph::scc::tarjan_scc;
-use tdb_graph::{ActiveSet, CostModel, CsrGraph, DeltaGraph, FixedBitSet, GraphView, VertexId};
+use tdb_graph::{ActiveSet, CostModel, CsrGraph, DeltaGraph, GraphView, VertexId};
 
 use crate::batch::{EdgeBatch, EdgeOp, UpdateMetrics};
 
@@ -50,11 +49,6 @@ pub struct DynamicConfig {
     /// cycle through the edge at once. Guards against pathological inserts
     /// that thread thousands of distinct cycles.
     pub max_breakers_per_insert: usize,
-    /// Re-minimize automatically at the end of every [`DynamicCover::apply`]
-    /// call that left the cover dirty. Off by default: minimization costs one
-    /// cycle query per cover vertex, which sustained streams amortize better
-    /// on demand.
-    pub auto_minimize: bool,
 }
 
 impl Default for DynamicConfig {
@@ -62,7 +56,6 @@ impl Default for DynamicConfig {
         DynamicConfig {
             compaction_threshold: 0,
             max_breakers_per_insert: 16,
-            auto_minimize: false,
         }
     }
 }
@@ -99,28 +92,17 @@ pub struct DynamicCover {
     active: ActiveSet,
     searcher: EdgeCycleSearcher,
     dirty: bool,
-    /// Component id per vertex as of the last [`DynamicCover::minimize`]
-    /// (`None` until the first full minimize establishes the invariant that
-    /// every cover vertex is non-redundant).
-    components: Option<Vec<u32>>,
-    /// Vertices touched since the last minimize: endpoints of applied edge
-    /// updates plus every breaker added by insert repairs. Marking breakers
-    /// too is what makes component-scoped minimization sound — a breaker can
-    /// land on another cover vertex's witness cycle, and its mark taints that
-    /// component for re-checking. Deduplicated through `dirty_mask`, so the
-    /// list is bounded by the vertex count no matter how long the stream runs
-    /// between minimizes.
-    dirty_vertices: Vec<VertexId>,
-    /// `dirty_mask[v]` mirrors membership of `v` in `dirty_vertices`.
-    dirty_mask: Vec<bool>,
-    /// Reusable component marks for [`DynamicCover::minimize_candidates`]
-    /// (component ids of the touched vertices), sized to the component map.
-    component_marks: FixedBitSet,
+    /// Whether a [`DynamicCover::minimize`] pass has run. Until one has, the
+    /// cover's minimality is unknown (a caller-supplied cover may be
+    /// oversized), so the first call always runs.
+    minimized: bool,
     /// Warm solve scratch handed to the minimize pass, so repeated minimizes
     /// reuse one set of engine allocations instead of re-allocating per call.
     solve_scratch: SolveScratch,
-    /// Vertex cost model steering insert repairs: with non-uniform costs the
-    /// breaker heuristic maximizes degree per unit cost instead of raw degree.
+    /// Vertex cost model steering insert repairs and minimize: with
+    /// non-uniform costs the breaker heuristic maximizes degree per unit cost
+    /// instead of raw degree, and minimize examines the costliest cover
+    /// vertex first.
     costs: CostModel,
     totals: UpdateMetrics,
 }
@@ -161,10 +143,7 @@ impl DynamicCover {
             config,
             active,
             dirty: false,
-            components: None,
-            dirty_vertices: Vec::new(),
-            dirty_mask: vec![false; n],
-            component_marks: FixedBitSet::new(0),
+            minimized: false,
             solve_scratch: SolveScratch::default(),
             costs: CostModel::Uniform,
             totals: UpdateMetrics::default(),
@@ -173,7 +152,9 @@ impl DynamicCover {
 
     /// Attach a vertex cost model: insert repairs then pick the breaker
     /// maximizing degree per unit cost (u128 cross-multiplied, so uniform or
-    /// all-equal costs reproduce the unweighted choice bit-for-bit), and
+    /// all-equal costs reproduce the unweighted choice bit-for-bit),
+    /// [`DynamicCover::minimize`] drops the costliest redundant vertices first
+    /// (a stable sort, the identity under equal costs), and
     /// [`UpdateMetrics::breaker_cost`] accumulates the cost of added breakers.
     pub fn with_vertex_costs(mut self, costs: CostModel) -> Self {
         self.costs = costs;
@@ -290,8 +271,9 @@ impl DynamicCover {
 
     /// Apply a batch of updates in order, returning this batch's metrics.
     ///
-    /// The cover is valid after every individual operation; compaction and
-    /// (optional) re-minimization are amortized across the batch.
+    /// The cover is valid after every individual operation and compaction is
+    /// amortized across the batch. Minimality is restored by a separate
+    /// [`DynamicCover::minimize`] call.
     pub fn apply(&mut self, batch: &EdgeBatch) -> UpdateMetrics {
         let _span = tdb_obs::trace::span("dynamic/apply");
         let start = Instant::now();
@@ -307,11 +289,6 @@ impl DynamicCover {
             }
             self.maybe_compact(&mut window);
         }
-        if self.config.auto_minimize && self.dirty {
-            let (removed, checked) = self.minimize_inner();
-            window.pruned += removed as u64;
-            window.minimize_checked += checked as u64;
-        }
         window.elapsed = start.elapsed();
         tdb_obs::histogram!("tdb_dynamic_apply_seconds").record(window.elapsed);
         publish_window(&window);
@@ -322,15 +299,21 @@ impl DynamicCover {
     /// Re-minimize the cover (Algorithm 7 over the live overlay), clearing the
     /// dirty flag. Returns the number of vertices removed.
     ///
-    /// The pass is **component-scoped**: every simple cycle lives inside one
-    /// strongly connected component, so a cover vertex can only have gained
-    /// or lost witness cycles if its component was touched since the last
-    /// minimize. The engine tracks touched vertices (update endpoints and
-    /// added breakers) and only re-examines cover vertices whose component —
-    /// in the component map of the *previous* minimize — contains one, plus
-    /// vertices that did not exist back then. The first call (no map yet)
-    /// examines the full cover. `totals().minimize_checked` counts the
-    /// vertices actually examined.
+    /// The pass re-checks every cover vertex, costliest first under the
+    /// engine's cost model, so it returns exactly the cover that
+    /// `tdb_core::minimal::minimal_prune_with` returns for the materialized
+    /// graph under the same costs. It runs only when the cover is dirty or has
+    /// never been minimized: an update that leaves the cover clean (a no-op,
+    /// or an insert that needed no breaker) only adds cycles, so every cover
+    /// vertex keeps its witness cycle. `totals().minimize_checked` counts the
+    /// vertices examined: the cover size at each pass that runs.
+    ///
+    /// Trade-off: on a stream whose churn stays inside a few of many
+    /// non-trivial strongly connected components, re-checking only the
+    /// touched components would skip work, at the cost of one `O(n + m)`
+    /// component pass per minimize; on a graph with one giant component that
+    /// scope skips nothing. A scope by hop distance from the touched edges
+    /// would be exact on both shapes.
     pub fn minimize(&mut self) -> usize {
         let _span = tdb_obs::trace::span("dynamic/minimize");
         let start = Instant::now();
@@ -368,8 +351,6 @@ impl DynamicCover {
         }
         window.inserts += 1;
         self.sync_capacity();
-        self.mark_dirty(u);
-        self.mark_dirty(v);
         if self.cover.contains(u) || self.cover.contains(v) {
             // Every cycle through (u, v) passes through a covered endpoint.
             return 0;
@@ -394,7 +375,6 @@ impl DynamicCover {
             };
             self.cover.insert(breaker);
             self.active.deactivate(breaker);
-            self.mark_dirty(breaker);
             added += 1;
             window.breakers_added += 1;
             window.breaker_cost = window.breaker_cost.saturating_add(self.costs.cost(breaker));
@@ -416,8 +396,6 @@ impl DynamicCover {
             return false;
         }
         window.removes += 1;
-        self.mark_dirty(u);
-        self.mark_dirty(v);
         // Destroying cycles never invalidates the cover, but cover vertices
         // whose every witness cycle used (u, v) are now redundant.
         if !self.cover.is_empty() {
@@ -426,74 +404,25 @@ impl DynamicCover {
         true
     }
 
-    /// The cover vertices that must be re-examined for redundancy: everything
-    /// on the first call, afterwards only vertices whose component (as mapped
-    /// at the previous minimize) contains a touched vertex, plus vertices
-    /// newer than that map.
-    ///
-    /// Soundness of skipping the rest: a skipped vertex `v` was non-redundant
-    /// at the previous minimize, i.e. it had a witness cycle `C` inside its
-    /// then-component `P(v)`. `P(v)` containing no touched vertex means no
-    /// edge incident to `P(v)` was inserted or removed (both endpoints of an
-    /// intra-component edge would be marked) and no breaker landed in `P(v)`,
-    /// so `C` still exists and still avoids every other cover vertex —
-    /// pruning elsewhere only *removes* cover vertices, which cannot cover
-    /// `C`. Hence `v` is still non-redundant.
-    fn minimize_candidates(&mut self) -> Vec<VertexId> {
-        let Some(map) = &self.components else {
-            return self.cover.iter().collect();
-        };
-        // Component ids are dense in 0..map.len(), so a reusable bitset over
-        // that range replaces the old per-call `HashSet<u32>`.
-        let marks = &mut self.component_marks;
-        marks.grow(map.len(), false);
-        marks.clear_all();
-        for &d in &self.dirty_vertices {
-            if let Some(&c) = map.get(d as usize) {
-                marks.insert(c as usize);
-            }
-        }
-        self.cover
-            .iter()
-            .filter(|&v| match map.get(v as usize) {
-                Some(&c) => marks.contains(c as usize),
-                None => true, // vertex born after the map: always re-examine
-            })
-            .collect()
-    }
-
-    /// Record `v` as touched since the last minimize (idempotent).
-    fn mark_dirty(&mut self, v: VertexId) {
-        let idx = v as usize;
-        if idx >= self.dirty_mask.len() {
-            self.dirty_mask.resize(idx + 1, false);
-        }
-        if !self.dirty_mask[idx] {
-            self.dirty_mask[idx] = true;
-            self.dirty_vertices.push(v);
-        }
-    }
-
     fn minimize_inner(&mut self) -> (usize, usize) {
-        // Nothing happened since the map was last refreshed: skip the SCC
-        // pass entirely (a periodic minimize tick on a quiet stream must be
-        // free). The first minimize (no map yet) always runs in full, which
-        // is what handles caller-supplied covers of unknown minimality.
-        if self.components.is_some() && !self.dirty && self.dirty_vertices.is_empty() {
+        // A clean cover is still minimal, so a periodic minimize tick on a
+        // quiet stream is free. The first call always runs, which is what
+        // handles caller-supplied covers of unknown minimality.
+        if self.minimized && !self.dirty {
             return (0, 0);
         }
-        let candidates = self.minimize_candidates();
+        let checked = self.cover.len();
         let mut metrics = RunMetrics::new(
             "dynamic-minimize",
             self.constraint.max_hops,
             self.constraint.include_two_cycles,
         );
         let mut ctx = SolveContext::new();
+        ctx.set_vertex_costs(self.costs.clone());
         ctx.restore_scratch(std::mem::take(&mut self.solve_scratch));
-        let removed = minimal_prune_candidates_with(
+        let removed = minimal_prune_with(
             &self.graph,
             &mut self.cover,
-            &candidates,
             &self.constraint,
             SearchEngine::Block,
             &mut metrics,
@@ -503,14 +432,8 @@ impl DynamicCover {
         self.solve_scratch = ctx.take_scratch();
         self.active = self.cover.reduced_active_set(self.graph.vertex_count());
         self.dirty = false;
-        // Refresh the component map for the next round and forget the dirt it
-        // has now accounted for.
-        self.components = Some(tarjan_scc(&self.graph).component);
-        for &v in &self.dirty_vertices {
-            self.dirty_mask[v as usize] = false;
-        }
-        self.dirty_vertices.clear();
-        (removed, candidates.len())
+        self.minimized = true;
+        (removed, checked)
     }
 
     /// Breaker heuristic: the vertex of the witness cycle with the highest
@@ -760,18 +683,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_minimize_config_keeps_cover_minimal_per_batch() {
+    fn apply_then_minimize_keeps_cover_minimal() {
         let g = erdos_renyi_gnm(40, 160, 3);
         let constraint = HopConstraint::new(4);
         let mut d = Solver::new(Algorithm::TdbPlusPlus)
-            .solve_dynamic_with_config(
-                g,
-                &constraint,
-                DynamicConfig {
-                    auto_minimize: true,
-                    ..Default::default()
-                },
-            )
+            .solve_dynamic(g, &constraint)
             .unwrap();
         let mut batch = EdgeBatch::new();
         for i in 0..20u32 {
@@ -779,10 +695,11 @@ mod tests {
             batch.insert((i * 3) % 40, (i * 11 + 2) % 40);
         }
         d.apply(&batch);
+        d.minimize();
         assert!(!d.is_dirty());
         let v = verify_cover(&d.materialize(), d.cover(), d.constraint());
-        assert!(v.is_valid, "auto-minimized cover invalid");
-        assert!(v.is_minimal, "auto-minimized cover not minimal");
+        assert!(v.is_valid, "minimized cover invalid");
+        assert!(v.is_minimal, "minimized cover not minimal");
     }
 
     #[test]
@@ -898,52 +815,90 @@ mod tests {
     }
 
     #[test]
-    fn minimize_is_component_scoped_after_the_first_pass() {
+    fn minimize_rechecks_the_whole_cover_only_when_dirty() {
         // Two disjoint triangles: TDB++ covers them with {2, 5}.
         let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let mut d = seeded(g, 4);
         assert_eq!(d.cover().as_slice(), &[2, 5]);
-        // First minimize is a full pass and establishes the component map.
+        // The first minimize always runs over the whole cover.
         assert_eq!(d.minimize(), 0);
         assert_eq!(d.totals().minimize_checked, 2);
-        // Break only the second triangle: vertex 5 loses its witness, but the
-        // untouched first triangle must not be re-searched.
+        // Break only the second triangle: vertex 5 loses its witness. The
+        // pass re-checks both cover vertices, the untouched one included.
         assert!(d.remove_edge(3, 4));
         assert_eq!(d.minimize(), 1);
-        assert_eq!(
-            d.totals().minimize_checked,
-            3,
-            "only the dirty component's cover vertex may be re-examined"
-        );
+        assert_eq!(d.totals().minimize_checked, 4);
         assert_eq!(d.cover().as_slice(), &[2]);
-        assert!(d.is_valid());
         let v = verify_cover(&d.materialize(), d.cover(), d.constraint());
         assert!(v.is_valid && v.is_minimal);
-        // A minimize with no pending dirt examines nothing at all.
+        // A minimize with nothing pending examines nothing at all.
         assert_eq!(d.minimize(), 0);
-        assert_eq!(d.totals().minimize_checked, 3);
+        assert_eq!(d.totals().minimize_checked, 4);
+        // An insert with a covered endpoint adds no breaker and leaves the
+        // cover clean: it only adds cycles, so vertex 2 keeps its witness
+        // and the next minimize checks nothing.
+        assert_eq!(d.insert_edge(2, 4), 0);
+        assert!(!d.is_dirty());
+        assert_eq!(d.minimize(), 0);
+        assert_eq!(d.totals().minimize_checked, 4);
+        assert!(d.is_valid());
     }
 
     #[test]
     fn breaker_insertions_taint_their_component_for_minimize() {
-        // Soundness regression for the component-scoped pass: a breaker added
-        // by an insert repair can land on another cover vertex's witness
-        // cycle; the breaker's own dirty mark must force that component to be
-        // re-examined, or the stale vertex would survive minimize.
+        // Minimality regression: a breaker added by an insert repair can land
+        // on another cover vertex's witness cycle and make that vertex
+        // redundant. The repair marks the cover dirty, so the next minimize
+        // must re-check and drop the stale vertex.
         let mut d = seeded(graph_from_edges(&[(0, 1), (1, 2), (2, 0)]), 4);
         assert_eq!(d.cover().as_slice(), &[2]);
-        d.minimize(); // establish the component map
-                      // Add a second triangle 0 -> 1 -> 3 -> 0 sharing the edge (0, 1):
-                      // its repair picks a breaker among {0, 1, 3}, and 0 and 1 both lie on
-                      // vertex 2's only witness cycle.
+        d.minimize();
+        // Add a second triangle 0 -> 1 -> 3 -> 0 sharing the edge (0, 1): its
+        // repair picks a breaker among {0, 1, 3}, and 0 and 1 both lie on
+        // vertex 2's only witness cycle.
         assert_eq!(d.insert_edge(1, 3), 0);
         let added = d.insert_edge(3, 0);
         assert_eq!(added, 1);
         assert!(d.is_valid());
+        assert!(d.is_dirty());
         d.minimize();
         let v = verify_cover(&d.materialize(), d.cover(), d.constraint());
         assert!(v.is_valid, "witness {:?}", v.witness);
         assert!(v.is_minimal, "redundant {:?}", v.redundant);
+    }
+
+    #[test]
+    fn weighted_minimize_drops_the_costliest_redundant_breaker() {
+        // Triangle 0 -> 1 -> 2 -> 0 with an oversized cover {0, 2}: either
+        // vertex alone is a minimal cover. Vertex 2 costs 100, so the
+        // cost-ordered pass examines it first and keeps the cheap vertex 0.
+        let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0)]);
+        let costs = CostModel::from_fn(3, |v| if v == 2 { 100 } else { 1 });
+        let cover = CycleCover::from_vertices(vec![0, 2]);
+        let mut d = DynamicCover::from_cover(g.clone(), cover.clone(), HopConstraint::new(3))
+            .with_vertex_costs(costs.clone());
+        assert_eq!(d.minimize(), 1);
+        assert_eq!(d.cover().as_slice(), &[0]);
+        assert_eq!(d.cover_cost(), 1);
+        // The same pass as the static Algorithm 7 under the same costs.
+        let mut expected = cover.clone();
+        let mut metrics = RunMetrics::new("test", 3, false);
+        let mut ctx = SolveContext::new();
+        ctx.set_vertex_costs(costs);
+        minimal_prune_with(
+            &g,
+            &mut expected,
+            &HopConstraint::new(3),
+            SearchEngine::Block,
+            &mut metrics,
+            &mut ctx,
+        )
+        .unwrap();
+        assert_eq!(d.cover(), &expected);
+        // Uniform costs keep the ascending-id order: vertex 0 goes first.
+        let mut plain = DynamicCover::from_cover(g, cover, HopConstraint::new(3));
+        assert_eq!(plain.minimize(), 1);
+        assert_eq!(plain.cover().as_slice(), &[2]);
     }
 
     #[test]

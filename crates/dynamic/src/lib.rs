@@ -20,27 +20,19 @@
 //!   bidirectional search from `tdb-cycle`) and repairs by adding breaker
 //!   vertices; `remove_edge` keeps validity for free and defers minimality to
 //!   a lazy re-minimization pass (`tdb_core::minimal`, the paper's
-//!   Algorithm 7) run directly over the overlay;
+//!   Algorithm 7) run over the whole cover, directly on the overlay;
 //! * [`EdgeBatch`] / [`DynamicCover::apply`] — batched updates with
-//!   per-batch [`UpdateMetrics`], amortizing compaction and re-minimization
-//!   so throughput scales past per-edge bookkeeping;
+//!   per-batch [`UpdateMetrics`], amortizing compaction so throughput scales
+//!   past per-edge bookkeeping;
 //! * [`SolveDynamic`] — the entry point: any configured
 //!   [`Solver`](tdb_core::Solver) (any seed [`Algorithm`](tdb_core::Algorithm))
 //!   gains `solve_dynamic(graph, &constraint)`.
 //!
 //! **Invariant:** the cover is *valid after every applied update* — no
 //! intermediate state exposes an uncovered constrained cycle. Minimality is
-//! restored on demand ([`DynamicCover::minimize`]) or automatically per batch
-//! ([`DynamicConfig::auto_minimize`]).
-//!
-//! Re-minimization is **component-scoped**: every constrained cycle lives
-//! inside one strongly connected component, so only cover vertices whose
-//! component was touched since the last minimize (by an update endpoint or a
-//! repair breaker) can have changed redundancy status. The engine tracks the
-//! touched set against the SCC map of the previous minimize and re-examines
-//! just those vertices ([`UpdateMetrics::minimize_checked`] counts them) —
-//! under localized churn a refresh re-checks a handful of cover vertices
-//! instead of the whole cover.
+//! restored on demand: [`DynamicCover::minimize`] re-checks every cover
+//! vertex whenever an update may have made one redundant
+//! ([`UpdateMetrics::minimize_checked`] counts them).
 //!
 //! ```
 //! use tdb_core::{Algorithm, HopConstraint, Solver};

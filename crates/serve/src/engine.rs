@@ -13,8 +13,8 @@
 //!    operation instead of one cycle repair per flap.
 //! 3. The batch goes through [`DynamicCover::apply`] — the cover is valid
 //!    after every operation — and every [`EngineConfig::minimize_every`]
-//!    batches the writer runs the component-scoped [`DynamicCover::minimize`]
-//!    to shed redundant breakers.
+//!    batches the writer runs [`DynamicCover::minimize`] to shed redundant
+//!    breakers.
 //! 4. The writer captures [`DynamicCover::state`] and publishes it as the next
 //!    epoch. Readers pick it up on their next [`SnapshotCell::load`].
 
@@ -49,7 +49,7 @@ pub struct EngineConfig {
     /// producer (backpressure); the depth is visible as
     /// [`EngineStats::queue_depth`].
     pub queue_capacity: usize,
-    /// Run the component-scoped `minimize()` after every this many batches
+    /// Run `minimize()` after every this many batches
     /// (`0` disables periodic minimization; the cover stays valid either way).
     pub minimize_every: usize,
     /// Watchdog thresholds (`HEALTH?` / `GET /healthz` classification).

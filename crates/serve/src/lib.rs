@@ -12,9 +12,9 @@
 //! * **engine** — [`CoverEngine`]: the writer loop. Incoming edge updates are
 //!   collected into an [`tdb_dynamic::EdgeBatch`] over a batching window,
 //!   coalesced (a flapping edge nets out to one operation), applied through
-//!   `DynamicCover`, periodically re-minimized (component-scoped), and the
-//!   resulting state published as the next snapshot. The update queue is
-//!   bounded: a deep queue blocks producers (backpressure), never readers.
+//!   `DynamicCover`, periodically re-minimized, and the resulting state
+//!   published as the next snapshot. The update queue is bounded: a deep
+//!   queue blocks producers (backpressure), never readers.
 //! * **snapshot** — [`CoverSnapshot`] and [`SnapshotCell`]: the publication
 //!   mechanism, plus the read-side queries (`COVER?` membership,
 //!   `BREAKERS?` via two hop-bounded BFS passes, per-breaker stats).

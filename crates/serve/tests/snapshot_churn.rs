@@ -17,7 +17,7 @@
 //! writer can apply — the transport is covered by `server_protocol.rs`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use tdb_core::{Algorithm, HopConstraint, Solver};
@@ -64,11 +64,16 @@ fn every_sampled_snapshot_is_audit_valid_with_monotone_epochs() {
     );
     let snapshots = engine.snapshots();
     let done = Arc::new(AtomicBool::new(false));
+    // The writers start only once every reader has loaded its first
+    // snapshot; otherwise the writers can finish their non-blocking sends
+    // before a reader thread is scheduled at all.
+    let started = Arc::new(Barrier::new(READERS + 1));
 
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let snapshots = Arc::clone(&snapshots);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut sampled = 0usize;
@@ -83,6 +88,11 @@ fn every_sampled_snapshot_is_audit_valid_with_monotone_epochs() {
                     );
                     last_epoch = epoch;
                     sampled += 1;
+                    if sampled == 1 {
+                        // Before any check that could panic, so a failing
+                        // reader cannot leave the writers waiting.
+                        started.wait();
+                    }
                     // Membership through the snapshot API agrees with the
                     // snapshot's own cover set (same immutable object — a torn
                     // view would be a pairing of different versions).
@@ -104,6 +114,7 @@ fn every_sampled_snapshot_is_audit_valid_with_monotone_epochs() {
         })
         .collect();
 
+    started.wait();
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let queue = engine.queue();

@@ -71,7 +71,6 @@ fn dynamic_config_knobs_are_reachable_from_the_facade() {
             &constraint,
             DynamicConfig {
                 compaction_threshold: 16,
-                auto_minimize: true,
                 ..Default::default()
             },
         )
@@ -82,6 +81,9 @@ fn dynamic_config_knobs_are_reachable_from_the_facade() {
     }
     let metrics = live.apply(&batch);
     assert!(metrics.compactions > 0, "threshold 16 must compact");
-    assert!(!live.is_dirty(), "auto_minimize must clear the dirty flag");
+    live.minimize();
+    assert!(!live.is_dirty(), "minimize must clear the dirty flag");
     assert!(live.is_valid());
+    let audit = verify_cover(&live.materialize(), live.cover(), &constraint);
+    assert!(audit.is_valid_and_minimal());
 }
