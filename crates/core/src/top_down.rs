@@ -22,6 +22,13 @@
 //! * **TDB+** — the `O(k·m)` block/barrier DFS (Algorithms 9–10),
 //! * **TDB++** — TDB+ preceded by the linear BFS filter (Algorithm 11).
 //!
+//! Both engines of `tdb-cycle` do less work than the paper's versions and give
+//! the same answers: the block DFS starts its barriers from a `k − 2`-hop
+//! backward BFS ball around `v` rather than from 0, and the BFS filter stops at
+//! the first closed walk it finds rather than finishing its `k − 1`-hop ball.
+//! Covers, metrics and witnesses are those of the paper's algorithms; only the
+//! engines' own work counters (`SearchStats`) and the timings differ.
+//!
 //! Correctness and minimality of the result follow the argument of Theorem 7:
 //! when the scan finishes, any remaining cycle would have had all of its
 //! vertices released, but then its last-scanned vertex would have seen the

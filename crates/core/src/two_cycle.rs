@@ -19,7 +19,7 @@
 //! in one pass. The combined cover is not guaranteed minimal, yet it was
 //! smaller and faster than the one-pass cover on every reciprocated graph
 //! measured (TDB++, k = 5): on the Wiki-Vote proxy at scale 0.5 it kept
-//! 1,136 vertices in 1.6 ms against 1,415 in 52.4 ms. The README lists all
+//! 1,136 vertices in 1.5 ms against 1,415 in 10.3 ms. The README lists all
 //! measured graphs, and the `table4_twocycles` bench reproduces the
 //! comparison.
 

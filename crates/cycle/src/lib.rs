@@ -19,12 +19,22 @@
 //!   baseline and as the reference oracle in tests.
 //! * [`block_dfs::BlockSearcher`] — the block/barrier DFS of Algorithms 9–10
 //!   (`NodeNecessary` / `Unblock`) with `O(k·m)` worst-case time per query.
+//!   Its barriers start from a backward BFS ball around the query vertex
+//!   (hop distances to it, which are lower bounds) instead of the paper's 0.
 //! * [`bfs_filter::BfsFilter`] — the BFS upper-bound filter of Algorithm 11,
-//!   a linear-time prune that skips the DFS entirely for most vertices.
+//!   a linear-time prune that skips the DFS entirely for most vertices. Its
+//!   BFS stops at the first closed walk it finds.
+//!
+//! Both per-vertex engines stop early — the filter's BFS at the level of the
+//! shortest closed walk, the block DFS's branches wherever a seeded barrier
+//! rules them out — and neither changes an answer: the filter reports the same
+//! shortest walk as a full ball, and the block DFS returns the same witness as
+//! the naive DFS (module docs give the arguments, `tests/prop_cycle.rs` pins
+//! both).
 //!
 //! [`enumerate`] provides bounded simple-cycle enumeration (needed by the DARC
 //! baseline and by the brute-force verifier), and [`reach`] provides
-//! hop-bounded reachability used by the filters.
+//! hop-bounded reachability used by the filter and the seed ball.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,11 @@
 //! A reusable BFS engine with an epoch-stamped distance array
 //! ([`TimestampedVec`]) so that a single allocation serves millions of queries
 //! without `O(n)` clearing between them. Both search directions are supported:
-//! the BFS-filter walks the *reverse* direction (distance *to* the query
-//! vertex), while the verifier and some examples walk forward.
+//! the BFS filter and the block DFS's seed ball walk the *reverse* direction
+//! (distance *to* the query vertex), while the verifier and some examples walk
+//! forward. [`BoundedBfs::run_until`] stops after the first level at which a
+//! caller's condition holds, which is what makes the BFS filter
+//! output-sensitive.
 
 use tdb_graph::{ActiveSet, GraphView, TimestampedVec, VertexId};
 
@@ -27,6 +30,7 @@ pub enum Direction {
 pub struct BoundedBfs {
     dist: TimestampedVec<u32>,
     queue: Vec<VertexId>,
+    edges_scanned: u64,
 }
 
 impl BoundedBfs {
@@ -35,6 +39,7 @@ impl BoundedBfs {
         BoundedBfs {
             dist: TimestampedVec::new(n, u32::MAX),
             queue: Vec::new(),
+            edges_scanned: 0,
         }
     }
 
@@ -69,41 +74,75 @@ impl BoundedBfs {
         max_hops: usize,
         direction: Direction,
     ) -> usize {
+        self.run_until(g, active, source, max_hops, direction, |_| false);
+        self.queue.len()
+    }
+
+    /// [`BoundedBfs::run`], stopped after the first complete level at which
+    /// `done` holds. Returns that level's distance, or `None` when `done`
+    /// never held.
+    ///
+    /// The search expands one level at a time. After it has discovered every
+    /// vertex at distance `d` (for `1 ≤ d ≤ max_hops`, and only if there is
+    /// one) it calls `done` on itself. Distances up to `d` are then final, so
+    /// the first `d` at which `done` holds is the smallest. After a stop the
+    /// vertices beyond `d` read as unreached.
+    pub fn run_until<V: GraphView>(
+        &mut self,
+        g: &V,
+        active: &ActiveSet,
+        source: VertexId,
+        max_hops: usize,
+        direction: Direction,
+        mut done: impl FnMut(&Self) -> bool,
+    ) -> Option<u32> {
         self.ensure_capacity(g.vertex_count());
         self.dist.reset();
         self.queue.clear();
+        self.edges_scanned = 0;
         if !active.is_active(source) {
-            return 0;
+            return None;
         }
         self.visit(source, 0);
+        let mut scanned = 0u64;
         let mut head = 0usize;
-        while head < self.queue.len() {
-            let u = self.queue[head];
-            head += 1;
-            let d = self.dist.get(u as usize);
-            if d as usize >= max_hops {
-                continue;
+        let mut level = 0u32;
+        let mut found = None;
+        while (level as usize) < max_hops && head < self.queue.len() {
+            let level_end = self.queue.len();
+            while head < level_end {
+                let u = self.queue[head];
+                head += 1;
+                match direction {
+                    Direction::Forward => {
+                        for v in g.out_iter(u) {
+                            scanned += 1;
+                            // Visited-check first: it is the cheaper test and,
+                            // once the frontier saturates, the one that
+                            // short-circuits.
+                            if !self.dist.is_set(v as usize) && active.is_active(v) {
+                                self.visit(v, level + 1);
+                            }
+                        }
+                    }
+                    Direction::Backward => {
+                        for v in g.in_iter(u) {
+                            scanned += 1;
+                            if !self.dist.is_set(v as usize) && active.is_active(v) {
+                                self.visit(v, level + 1);
+                            }
+                        }
+                    }
+                }
             }
-            match direction {
-                Direction::Forward => {
-                    for v in g.out_iter(u) {
-                        // Visited-check first: it is the cheaper test and, once
-                        // the frontier saturates, the one that short-circuits.
-                        if !self.dist.is_set(v as usize) && active.is_active(v) {
-                            self.visit(v, d + 1);
-                        }
-                    }
-                }
-                Direction::Backward => {
-                    for v in g.in_iter(u) {
-                        if !self.dist.is_set(v as usize) && active.is_active(v) {
-                            self.visit(v, d + 1);
-                        }
-                    }
-                }
+            level += 1;
+            if head < self.queue.len() && done(self) {
+                found = Some(level);
+                break;
             }
         }
-        self.queue.len()
+        self.edges_scanned = scanned;
+        found
     }
 
     #[inline]
@@ -125,6 +164,12 @@ impl BoundedBfs {
     /// Vertices reached by the most recent query, in BFS order.
     pub fn reached(&self) -> &[VertexId] {
         &self.queue
+    }
+
+    /// Edges the most recent query scanned (in-edges for a backward search),
+    /// including those into already-reached or inactive vertices.
+    pub fn edges_scanned(&self) -> u64 {
+        self.edges_scanned
     }
 }
 
@@ -208,6 +253,55 @@ mod tests {
         assert_eq!(bfs.distance(1), None, "stale result from earlier query");
         assert_eq!(bfs.distance(3), Some(1));
         assert_eq!(bfs.reached(), &[2, 3]);
+    }
+
+    #[test]
+    fn run_until_stops_after_the_first_level_that_satisfies_it() {
+        // Backward from 0 on the 6-cycle 0 -> 1 -> ... -> 5 -> 0: 5 is at
+        // distance 1, 4 at 2, 3 at 3.
+        let g = directed_cycle(6);
+        let active = ActiveSet::all_active(6);
+        let mut bfs = BoundedBfs::new(6);
+        let reached = |bfs: &BoundedBfs| bfs.distance(3).is_some() || bfs.distance(4).is_some();
+        assert_eq!(
+            bfs.run_until(&g, &active, 0, 5, Direction::Backward, reached),
+            Some(2)
+        );
+        assert_eq!(bfs.distance(4), Some(2));
+        assert_eq!(bfs.distance(3), None, "the search stopped before 3");
+        // Two in-edges scanned: 5 -> 0 and 4 -> 5.
+        assert_eq!(bfs.edges_scanned(), 2);
+        // Level 0 (the source alone) is never offered; a condition that no
+        // level within the bound meets leaves the whole ball searched.
+        let miss = |bfs: &BoundedBfs| bfs.reached().len() == 1 || bfs.distance(3).is_some();
+        assert_eq!(
+            bfs.run_until(&g, &active, 0, 2, Direction::Backward, miss),
+            None
+        );
+        assert_eq!(bfs.reached(), &[0, 5, 4]);
+        assert_eq!(bfs.edges_scanned(), 2);
+        // A level that discovers nothing ends the search unchecked: the head
+        // of a path has no in-neighbor, so `done` is never called.
+        let path = directed_path(3);
+        let all = ActiveSet::all_active(3);
+        assert_eq!(
+            bfs.run_until(&path, &all, 0, 5, Direction::Backward, |_| true),
+            None
+        );
+    }
+
+    #[test]
+    fn edges_scanned_counts_every_examined_edge() {
+        // 0 -> 1, 0 -> 2, 1 -> 2, 2 -> 3: a full forward run from 0 scans all
+        // four out-edges, including 1 -> 2 into an already-reached vertex.
+        let g = graph_from_edges(&[(0, 1), (0, 2), (1, 2), (2, 3)]);
+        let active = ActiveSet::all_active(4);
+        let mut bfs = BoundedBfs::new(4);
+        assert_eq!(bfs.run(&g, &active, 0, 5, Direction::Forward), 4);
+        assert_eq!(bfs.edges_scanned(), 4);
+        // The hop bound stops expansion: only 0's two out-edges are scanned.
+        bfs.run(&g, &active, 0, 1, Direction::Forward);
+        assert_eq!(bfs.edges_scanned(), 2);
     }
 
     #[test]

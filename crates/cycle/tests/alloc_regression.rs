@@ -6,7 +6,8 @@
 //! buffers that are reset in `O(1)` and only ever *grow*. This test pins that
 //! contract with a counting global allocator: after one warm-up pass, a few
 //! thousand existence queries across every engine must perform **zero**
-//! allocations.
+//! allocations — on a workload where every query misses, and on one where
+//! most block queries find a cycle and most filter balls stop early.
 //!
 //! Kept as a single `#[test]` so the measurement window cannot interleave
 //! with allocations from a concurrently running test thread.
@@ -14,8 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tdb_cycle::bfs_filter::FilterDecision;
 use tdb_cycle::{BfsFilter, BlockSearcher, EdgeCycleSearcher, HopConstraint, NaiveSearcher};
-use tdb_graph::gen::directed_cycle;
+use tdb_graph::gen::{directed_cycle, erdos_renyi_gnm};
 use tdb_graph::{ActiveSet, Graph, VertexId};
 
 /// Counts every allocator entry (alloc, realloc, zeroed) process-wide.
@@ -56,6 +58,13 @@ fn warmed_engines_answer_queries_without_allocating() {
     let active = ActiveSet::all_active(n);
     let constraint = HopConstraint::new(5);
 
+    // A sparse random graph dense in short cycles, two thirds active: most
+    // block queries hit (the existence path must not build a witness), and
+    // most filter balls stop at their first closed walk.
+    let hit_g = erdos_renyi_gnm(200, 1200, 11);
+    let hit_n = hit_g.num_vertices();
+    let hit_active = ActiveSet::from_mask((0..hit_n).map(|v| v % 3 != 0).collect());
+
     let mut naive = NaiveSearcher::new(n);
     let mut block = BlockSearcher::new(n);
     let mut filter = BfsFilter::new(n);
@@ -76,11 +85,27 @@ fn warmed_engines_answer_queries_without_allocating() {
                 .find_cycle_through_edge(&g, &active, v, w, &constraint)
                 .is_none());
         }
+        let mut hits = 0;
+        let mut walks = 0;
+        for v in 0..hit_n as VertexId {
+            if block.is_on_constrained_cycle(&hit_g, &hit_active, v, &constraint) {
+                hits += 1;
+            }
+            if filter.decide_exact(&hit_g, &hit_active, v, &constraint) != FilterDecision::Prune {
+                walks += 1;
+            }
+        }
+        (hits, walks)
     };
 
     // Warm-up: grows every internal buffer to its steady-state footprint and
     // registers the observability counters/histograms these queries touch.
-    run_all(&mut naive, &mut block, &mut filter, &mut edge);
+    let (hits, walks) = run_all(&mut naive, &mut block, &mut filter, &mut edge);
+    assert!(
+        hits > hit_n / 2 && walks > hit_n / 2,
+        "the hit workload must mostly hit ({hits} block hits, {walks} walks found)"
+    );
+    let queries = 50 * (4 * n + 2 * hit_n);
 
     // The counter is process-wide, so the libtest harness thread can inject a
     // stray allocation into a measurement window (it happens under heavy CI
@@ -100,7 +125,6 @@ fn warmed_engines_answer_queries_without_allocating() {
     assert!(
         clean_window,
         "warmed search engines must not allocate per query \
-         ({leaked} allocations across {} queries in every window)",
-        50 * 4 * n
+         ({leaked} allocations across {queries} queries in every window)"
     );
 }

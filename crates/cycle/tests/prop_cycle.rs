@@ -12,7 +12,7 @@ use tdb_cycle::reach::{BoundedBfs, Direction};
 use tdb_cycle::{BlockSearcher, HopConstraint};
 use tdb_graph::builder::graph_from_edges;
 use tdb_graph::gen::{random_edge_list, Xoshiro256};
-use tdb_graph::{ActiveSet, CsrGraph, Graph};
+use tdb_graph::{ActiveSet, CsrGraph, DeltaGraph, Graph, GraphBuilder, GraphView, VertexId};
 
 fn random_graph_and_mask(rng: &mut Xoshiro256, n: u32, max_edges: usize) -> (CsrGraph, Vec<bool>) {
     let g = graph_from_edges(&random_edge_list(rng, n, max_edges));
@@ -20,34 +20,167 @@ fn random_graph_and_mask(rng: &mut Xoshiro256, n: u32, max_edges: usize) -> (Csr
     (g, mask)
 }
 
-/// Block DFS == naive DFS on arbitrary graphs, activation masks, hop
-/// bounds, and 2-cycle modes; witnesses must be genuine cycles.
-#[test]
-fn block_dfs_equals_naive_dfs() {
-    for case in 0..64u64 {
-        let mut rng = Xoshiro256::seed_from_u64(case);
-        let (g, mask) = random_graph_and_mask(&mut rng, 20, 80);
-        let k = 2 + rng.next_index(5);
-        let include2 = rng.next_bool(0.5);
-        let active = ActiveSet::from_mask(mask);
-        let constraint = if include2 {
-            HopConstraint::with_two_cycles(k)
-        } else {
-            HopConstraint::new(k)
-        };
-        let mut searcher = BlockSearcher::new(g.num_vertices());
-        for v in g.vertices() {
-            let naive = find_cycle_through(&g, &active, v, &constraint);
-            let fast = searcher.find_cycle_through(&g, &active, v, &constraint);
-            assert_eq!(naive.is_some(), fast.is_some(), "case {case}: vertex {v}");
-            if let Some(cycle) = fast {
-                assert_eq!(cycle[0], v, "case {case}");
-                assert!(
-                    is_valid_cycle(&g, &active, &cycle, &constraint),
-                    "case {case}: bad witness {cycle:?}"
-                );
+/// A random graph, a mask activating 50–70% of its vertices (the share a
+/// top-down scan runs on), and a `DeltaGraph` overlay of the graph churned by
+/// random deletions and insertions.
+fn random_instance(rng: &mut Xoshiro256) -> (CsrGraph, DeltaGraph, ActiveSet) {
+    let g = graph_from_edges(&random_edge_list(rng, 20, 100));
+    let n = g.num_vertices();
+    let share = 0.5 + 0.2 * rng.next_f64();
+    let active = ActiveSet::from_mask((0..n).map(|_| rng.next_bool(share)).collect());
+    let mut delta = DeltaGraph::new(g.clone());
+    let edges: Vec<_> = g.edges().collect();
+    if !edges.is_empty() {
+        for _ in 0..rng.next_index(12) {
+            let e = edges[rng.next_index(edges.len())];
+            delta.remove_edge(e.source, e.target);
+            let u = rng.next_index(n) as VertexId;
+            let v = rng.next_index(n) as VertexId;
+            if u != v {
+                delta.insert_edge(u, v);
             }
         }
+    }
+    (g, delta, active)
+}
+
+/// `g` with a self-loop added on every third vertex. A loop closes no cycle
+/// of length 2 or more, so every answer must ignore it.
+fn with_self_loops(g: &CsrGraph) -> CsrGraph {
+    let n = g.num_vertices();
+    let mut b = GraphBuilder::with_capacity(n, g.num_edges() + n);
+    b.keep_self_loops(true);
+    b.extend_edges(g.edges().map(|e| (e.source, e.target)));
+    b.extend_edges((0..n as VertexId).step_by(3).map(|v| (v, v)));
+    b.build()
+}
+
+fn random_constraint(rng: &mut Xoshiro256) -> HopConstraint {
+    let k = 2 + rng.next_index(5);
+    if rng.next_bool(0.5) {
+        HopConstraint::with_two_cycles(k)
+    } else {
+        HopConstraint::new(k)
+    }
+}
+
+/// The block DFS returns exactly the naive DFS's witness — the same vertex
+/// sequence, not just existence — on arbitrary graphs, on churned
+/// `DeltaGraph` overlays, with self-loops kept, under partial activation, for
+/// k in 2..=6 and both 2-cycle modes. The seeded barriers only skip branches
+/// that cannot close an admissible cycle, so the first cycle in DFS order is
+/// unchanged.
+#[test]
+fn block_dfs_equals_naive_dfs() {
+    fn check<V: GraphView>(
+        g: &V,
+        active: &ActiveSet,
+        constraint: &HopConstraint,
+        searcher: &mut BlockSearcher,
+        label: &str,
+    ) -> usize {
+        let mut hits = 0;
+        for v in 0..g.vertex_count() as VertexId {
+            let naive = find_cycle_through(g, active, v, constraint);
+            let fast = searcher.find_cycle_through(g, active, v, constraint);
+            assert_eq!(fast, naive, "{label}: vertex {v}");
+            assert_eq!(
+                searcher.is_on_constrained_cycle(g, active, v, constraint),
+                naive.is_some(),
+                "{label}: existence of vertex {v}"
+            );
+            if let Some(cycle) = naive {
+                assert!(
+                    is_valid_cycle(g, active, &cycle, constraint),
+                    "{label}: bad witness {cycle:?}"
+                );
+                hits += 1;
+            }
+        }
+        hits
+    }
+
+    let mut hits = 0;
+    for case in 0..400u64 {
+        let mut rng = Xoshiro256::seed_from_u64(case);
+        let (g, delta, active) = random_instance(&mut rng);
+        let constraint = random_constraint(&mut rng);
+        let mut searcher = BlockSearcher::new(g.num_vertices());
+        hits += check(
+            &g,
+            &active,
+            &constraint,
+            &mut searcher,
+            &format!("case {case}"),
+        );
+        hits += check(
+            &delta,
+            &active,
+            &constraint,
+            &mut searcher,
+            &format!("case {case} (overlay)"),
+        );
+        hits += check(
+            &with_self_loops(&g),
+            &active,
+            &constraint,
+            &mut searcher,
+            &format!("case {case} (self-loops)"),
+        );
+    }
+    assert!(
+        hits > 1_000,
+        "too few hits ({hits}) to exercise the witness"
+    );
+}
+
+/// The early-exit BFS filter reports exactly the shortest closed walk of a
+/// full `k − 1`-hop backward ball: the minimum over v's active out-neighbors
+/// `w ≠ v` of `dist(w → v) + 1`, on the graph kinds of the test above.
+#[test]
+fn shortest_walk_equals_the_full_ball() {
+    fn full_ball<V: GraphView>(
+        g: &V,
+        active: &ActiveSet,
+        v: VertexId,
+        max_hops: usize,
+        bfs: &mut BoundedBfs,
+    ) -> Option<usize> {
+        if max_hops == 0 {
+            return None;
+        }
+        bfs.run(g, active, v, max_hops - 1, Direction::Backward);
+        g.out_iter(v)
+            .filter(|&w| w != v && active.is_active(w))
+            .filter_map(|w| bfs.distance(w))
+            .map(|d| d as usize + 1)
+            .min()
+    }
+
+    fn check<V: GraphView>(g: &V, active: &ActiveSet, max_hops: usize, label: &str) {
+        let mut filter = BfsFilter::new(g.vertex_count());
+        let mut bfs = BoundedBfs::new(g.vertex_count());
+        for v in 0..g.vertex_count() as VertexId {
+            assert_eq!(
+                filter.shortest_closed_walk(g, active, v, max_hops),
+                full_ball(g, active, v, max_hops, &mut bfs),
+                "{label}: vertex {v}, max_hops {max_hops}"
+            );
+        }
+    }
+
+    for case in 0..400u64 {
+        let mut rng = Xoshiro256::seed_from_u64(5000 + case);
+        let (g, delta, active) = random_instance(&mut rng);
+        let max_hops = rng.next_index(7);
+        check(&g, &active, max_hops, &format!("case {case}"));
+        check(&delta, &active, max_hops, &format!("case {case} (overlay)"));
+        check(
+            &with_self_loops(&g),
+            &active,
+            max_hops,
+            &format!("case {case} (self-loops)"),
+        );
     }
 }
 

@@ -11,7 +11,8 @@ use crate::Graph;
 /// * the block/barrier DFS (`NodeNecessary`, Algorithm 9) walks out-edges while
 ///   `Unblock` (Algorithm 10) propagates over in-edges,
 /// * the BFS-filter (Algorithm 11) walks the reverse direction to bound the
-///   length of the shortest closed walk through a vertex,
+///   length of the shortest closed walk through a vertex, and the block DFS
+///   seeds its barriers with a reverse BFS too,
 /// * the top-down scan (Algorithm 8) conceptually "inserts all in-edges and
 ///   out-edges" of the vertex under test.
 ///
