@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in `DESIGN.md` §7.
+//! Ablation benches for the design choices of the TDB engines.
 //!
 //! * `ablation_engine` — block DFS vs naive DFS as the per-query primitive
 //!   (the TDB → TDB+ step in isolation, measured on raw queries).

@@ -1,20 +1,11 @@
-//! Streaming bench: incremental cover maintenance under sustained edge churn
-//! versus full re-solves — the headline measurement of the `tdb-dynamic`
-//! subsystem.
+//! Streaming bench: one applied update batch of incremental cover
+//! maintenance against one static re-solve on the same graph — the
+//! headline comparison of the `tdb-dynamic` subsystem.
 //!
-//! Two views are reported:
-//!
-//! * `Microbench` rows timing one applied update batch against one static
-//!   re-solve on the same graph, and
-//! * a full churn scenario report (updates/sec, per-refresh speedup, validity
-//!   audit) from `tdb_bench::streaming`.
-//!
-//! `TDB_BENCH_STREAM_SCALE=acceptance` switches the scenario to the 50k-vertex
-//! / 10k-update acceptance workload; the default stays small enough for the CI
-//! smoke pass.
+//! The seeded end-to-end refresh workload, with its validity audits, is
+//! `stream-refresh` in the `benchmark/` package.
 
 use tdb_bench::microbench::Microbench;
-use tdb_bench::streaming::{format_stream_report, run_stream, StreamConfig};
 use tdb_core::{Algorithm, HopConstraint, Solver};
 use tdb_dynamic::{EdgeBatch, SolveDynamic};
 use tdb_graph::gen::{erdos_renyi_gnm, Xoshiro256};
@@ -49,25 +40,4 @@ fn main() {
     bench.bench("full_resolve/baseline", || {
         solver.solve(&g, &constraint).unwrap().cover_size()
     });
-
-    // The churn scenario with per-batch validity audit.
-    let config = match std::env::var("TDB_BENCH_STREAM_SCALE").as_deref() {
-        Ok("acceptance") => StreamConfig::acceptance(),
-        _ => StreamConfig::smoke(),
-    };
-    println!(
-        "\n## streaming scenario (|V|={}, {} updates, batch {}, churn {:.0}%)",
-        config.vertices,
-        config.updates,
-        config.batch_size,
-        config.churn * 100.0
-    );
-    let report = run_stream(&config);
-    for line in format_stream_report(&report) {
-        println!("{line}");
-    }
-    assert_eq!(
-        report.valid_batches, report.batches,
-        "an intermediate cover failed the validity audit"
-    );
 }

@@ -8,30 +8,13 @@
 //! ```
 //!
 //! Subcommands: `table2`, `table3`, `table4`, `figure6`, `figure7`, `figure8`,
-//! `figure9`, `figure10`, `large`, `stream`, `serve`, `weighted`, `bench`,
-//! `sharding`, `watch`, `all`. Options: `--scale <f64>`,
-//! `--seed <u64>`, `--slow-limit <edges>`, `--verify`, `--k <list>` (comma
-//! separated, default `3,4,5,6,7`), `--budget <seconds>` (wall-clock budget
-//! per cell; overruns print as `-`).
+//! `figure9`, `figure10`, `large`, `weighted`, `sharding`, `watch`, `all`.
+//! Options: `--scale <f64>`, `--seed <u64>`, `--slow-limit <edges>`,
+//! `--verify`, `--k <list>` (comma separated, default `3,4,5,6,7`),
+//! `--budget <seconds>` (wall-clock budget per cell; overruns print as `-`).
 //!
-//! The `stream` subcommand drives the `tdb-dynamic` churn scenario and prints
-//! updates/sec plus the per-refresh speedup over full re-solves:
-//!
-//! ```text
-//! cargo run --release -p tdb-bench --bin experiments -- stream \
-//!     --stream-vertices 50000 --stream-edges 200000 --stream-updates 10000 \
-//!     --stream-batch 100 --stream-churn 0.5 --stream-compact 0 --verify
-//! ```
-//!
-//! The `serve` subcommand starts a resident [`tdb_serve::CoverServer`] on a
-//! loopback port and drives it with concurrent reader and writer clients
-//! while an in-process auditor re-verifies sampled snapshots:
-//!
-//! ```text
-//! cargo run --release -p tdb-bench --bin experiments -- serve \
-//!     --serve-vertices 50000 --serve-edges 200000 --serve-updates 10000 \
-//!     --serve-readers 4 --serve-writers 2
-//! ```
+//! The end-to-end benchmark of solving, stream refresh and serving, with its
+//! audits, is the separate `benchmark/` package (`BENCHMARK.json`).
 //!
 //! The `weighted` subcommand runs the `Objective::MinWeight` scenario: a
 //! skewed VIP cost model vs the cardinality baseline, the all-1 bit-exactness
@@ -42,12 +25,6 @@
 //! cargo run --release -p tdb-bench --bin experiments -- weighted \
 //!     --weighted-vertices 20000 --weighted-edges 80000
 //! ```
-//!
-//! The `bench` subcommand runs the pinned perf-trajectory scenarios
-//! (end-to-end solve, streaming churn, serve load, weighted objective,
-//! instrumentation overhead) and records them to `BENCH_<tag>.json`
-//! (`--bench-tag`, `--bench-out`); `--smoke` shrinks the workloads to CI
-//! size.
 //!
 //! The `watch` subcommand is a live console view over a running server: it
 //! polls `METRICS` / `HEALTH?` and renders rolling deltas (reads/s,
@@ -77,11 +54,7 @@
 
 use std::process::ExitCode;
 
-use tdb_bench::overhead::measure_solve_overhead;
-use tdb_bench::serve::{format_serve_report, run_serve, ServeLoadConfig};
 use tdb_bench::sharding::{format_sharding_report, run_sharding, ShardingConfig};
-use tdb_bench::streaming::{format_stream_report, run_stream, StreamConfig};
-use tdb_bench::trajectory::trajectory_document;
 use tdb_bench::watch::{run_watch, WatchConfig};
 use tdb_bench::weighted::{format_weighted_report, run_weighted, WeightedConfig};
 use tdb_bench::{
@@ -92,16 +65,17 @@ use tdb_core::{Algorithm, HopConstraint};
 use tdb_datasets::{Dataset, SynthesisConfig};
 use tdb_graph::Graph;
 
+/// The subcommands, in the order the usage line lists them.
+const COMMANDS: &[&str] = &[
+    "table2", "table3", "table4", "figure6", "figure7", "figure8", "figure9", "figure10", "large",
+    "weighted", "sharding", "watch", "all",
+];
+
 struct Options {
     command: String,
     config: ExperimentConfig,
-    stream: StreamConfig,
     sharding: ShardingConfig,
-    serve: ServeLoadConfig,
     weighted: WeightedConfig,
-    smoke: bool,
-    bench_tag: String,
-    bench_out: Option<String>,
     trace_out: Option<String>,
     watch_addr: Option<String>,
     watch_iters: usize,
@@ -118,29 +92,17 @@ fn parse_args() -> Result<Options, String> {
     let mut ks = vec![3usize, 4, 5, 6, 7];
     let mut ks_explicit = false;
     let mut budget = None;
-    // `--smoke` swaps the scenario baselines for the CI-sized workloads; it is
-    // applied before the flag loop so explicit --stream-*/--serve-* flags
-    // still override it.
+    // `--smoke` swaps the weighted baseline for the CI-sized workload; it is
+    // applied before the flag loop so explicit --weighted-* flags still
+    // override it.
     let smoke = args.iter().any(|a| a == "--smoke");
-    let mut stream = if smoke {
-        StreamConfig::smoke()
-    } else {
-        StreamConfig::acceptance()
-    };
     let mut sharding = ShardingConfig::acceptance();
     let mut sharding_flag = false;
-    let mut serve = if smoke {
-        ServeLoadConfig::smoke()
-    } else {
-        ServeLoadConfig::acceptance()
-    };
     let mut weighted = if smoke {
         WeightedConfig::smoke()
     } else {
         WeightedConfig::acceptance()
     };
-    let mut bench_tag = String::from("PR10");
-    let mut bench_out = None;
     let mut trace_out = None;
     let mut watch_addr = None;
     let mut watch_iters = 10usize;
@@ -191,44 +153,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--k: {e}"))?;
                 ks_explicit = true;
             }
-            "--stream-vertices" => {
-                stream.vertices = value("--stream-vertices")?
-                    .parse()
-                    .map_err(|e| format!("--stream-vertices: {e}"))?;
-            }
-            "--stream-edges" => {
-                stream.initial_edges = value("--stream-edges")?
-                    .parse()
-                    .map_err(|e| format!("--stream-edges: {e}"))?;
-            }
-            "--stream-updates" => {
-                stream.updates = value("--stream-updates")?
-                    .parse()
-                    .map_err(|e| format!("--stream-updates: {e}"))?;
-            }
-            "--stream-batch" => {
-                let b: usize = value("--stream-batch")?
-                    .parse()
-                    .map_err(|e| format!("--stream-batch: {e}"))?;
-                if b == 0 {
-                    return Err("--stream-batch: batch size must be positive".into());
-                }
-                stream.batch_size = b;
-            }
-            "--stream-churn" => {
-                let c: f64 = value("--stream-churn")?
-                    .parse()
-                    .map_err(|e| format!("--stream-churn: {e}"))?;
-                if !(0.0..=1.0).contains(&c) {
-                    return Err(format!("--stream-churn: expected 0.0..=1.0, got {c}"));
-                }
-                stream.churn = c;
-            }
-            "--stream-compact" => {
-                stream.compaction_threshold = value("--stream-compact")?
-                    .parse()
-                    .map_err(|e| format!("--stream-compact: {e}"))?;
-            }
             "--sharding" => sharding_flag = true,
             "--shard-components" => {
                 let c: usize = value("--shard-components")?
@@ -269,52 +193,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--shard-algo: {e}"))?;
             }
             "--smoke" => {} // handled by the pre-scan above
-            "--serve-vertices" => {
-                serve.vertices = value("--serve-vertices")?
-                    .parse()
-                    .map_err(|e| format!("--serve-vertices: {e}"))?;
-            }
-            "--serve-edges" => {
-                serve.initial_edges = value("--serve-edges")?
-                    .parse()
-                    .map_err(|e| format!("--serve-edges: {e}"))?;
-            }
-            "--serve-updates" => {
-                let u: usize = value("--serve-updates")?
-                    .parse()
-                    .map_err(|e| format!("--serve-updates: {e}"))?;
-                if u == 0 {
-                    return Err("--serve-updates: need at least one update".into());
-                }
-                serve.updates = u;
-            }
-            "--serve-readers" => {
-                let r: usize = value("--serve-readers")?
-                    .parse()
-                    .map_err(|e| format!("--serve-readers: {e}"))?;
-                if r == 0 {
-                    return Err("--serve-readers: need at least one reader".into());
-                }
-                serve.readers = r;
-            }
-            "--serve-writers" => {
-                let w: usize = value("--serve-writers")?
-                    .parse()
-                    .map_err(|e| format!("--serve-writers: {e}"))?;
-                if w == 0 {
-                    return Err("--serve-writers: need at least one writer".into());
-                }
-                serve.writers = w;
-            }
-            "--serve-breakers" => {
-                let b: f64 = value("--serve-breakers")?
-                    .parse()
-                    .map_err(|e| format!("--serve-breakers: {e}"))?;
-                if !(0.0..=1.0).contains(&b) {
-                    return Err(format!("--serve-breakers: expected 0.0..=1.0, got {b}"));
-                }
-                serve.breaker_ratio = b;
-            }
             "--weighted-vertices" => {
                 let v: usize = value("--weighted-vertices")?
                     .parse()
@@ -343,8 +221,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 weighted.vip_cost = c;
             }
-            "--bench-tag" => bench_tag = value("--bench-tag")?,
-            "--bench-out" => bench_out = Some(value("--bench-out")?),
             "--trace-out" => trace_out = Some(value("--trace-out")?),
             "--watch-addr" => watch_addr = Some(value("--watch-addr")?),
             "--watch-iters" => {
@@ -369,19 +245,14 @@ fn parse_args() -> Result<Options, String> {
         }
     }
 
-    // The stream, sharding and serve scenarios share the global --seed /
-    // --k / --verify flags.
-    stream.seed = seed;
-    stream.verify_each_batch = verify;
+    // The sharding and weighted scenarios share the global --seed / --k /
+    // --verify flags.
     sharding.seed = seed;
     sharding.verify = verify;
-    serve.seed = seed;
     weighted.seed = seed;
     if ks_explicit {
         if let Some(&k) = ks.first() {
-            stream.k = k;
             sharding.k = k;
-            serve.k = k;
             weighted.k = k;
         }
     }
@@ -395,6 +266,9 @@ fn parse_args() -> Result<Options, String> {
             ));
         }
         command = "sharding".to_string();
+    }
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(format!("unknown command {command:?}"));
     }
 
     Ok(Options {
@@ -410,13 +284,8 @@ fn parse_args() -> Result<Options, String> {
             verify,
             time_budget: budget,
         },
-        stream,
         sharding,
-        serve,
         weighted,
-        smoke,
-        bench_tag,
-        bench_out,
         trace_out,
         watch_addr,
         watch_iters,
@@ -527,11 +396,8 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: experiments [table2|table3|table4|figure6|figure7|figure8|figure9|figure10|large|stream|serve|weighted|bench|sharding|watch|all] [--scale F] [--seed N] [--slow-limit E] [--k 3,4,5] [--verify] [--budget SECS] [--smoke] [--trace-out PATH]");
-            eprintln!("       stream flags: [--stream-vertices N] [--stream-edges M] [--stream-updates U] [--stream-batch B] [--stream-churn 0..1] [--stream-compact T]");
-            eprintln!("       serve flags: [--serve-vertices N] [--serve-edges M] [--serve-updates U] [--serve-readers R] [--serve-writers W] [--serve-breakers 0..1]");
+            eprintln!("usage: experiments [{}] [--scale F] [--seed N] [--slow-limit E] [--k 3,4,5] [--verify] [--budget SECS] [--smoke] [--trace-out PATH]", COMMANDS.join("|"));
             eprintln!("       weighted flags: [--weighted-vertices N] [--weighted-edges M] [--weighted-vip-degree D] [--weighted-vip-cost C]");
-            eprintln!("       bench flags: [--bench-tag TAG] [--bench-out PATH]");
             eprintln!("       watch flags: [--watch-addr HOST:PORT] [--watch-iters N] [--watch-interval-ms MS] (no addr: in-process demo server)");
             eprintln!("       sharding flags: [--sharding] [--shard-components C] [--shard-vertices N] [--shard-edges M] [--shard-threads T] [--shard-algo NAME]");
             return ExitCode::FAILURE;
@@ -627,25 +493,6 @@ fn run(options: &Options) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        "serve" => {
-            let s = &options.serve;
-            let mut lines = vec![format!(
-                "workload  {} updates via {} writers, {} readers ({:.0}% BREAKERS?), k = {}{}",
-                s.updates,
-                s.writers,
-                s.readers,
-                s.breaker_ratio * 100.0,
-                s.k,
-                if options.smoke { ", smoke" } else { "" }
-            )];
-            let report = run_serve(s);
-            lines.extend(format_serve_report(&report));
-            print_block("Serving: epoch-published snapshots under live load", &lines);
-            if !report.healthy() {
-                eprintln!("error: the serve load run failed its audit (see report above)");
-                return ExitCode::FAILURE;
-            }
-        }
         "weighted" => {
             let w = &options.weighted;
             let mut lines = vec![format!(
@@ -660,71 +507,6 @@ fn run(options: &Options) -> ExitCode {
             );
             if !report.healthy() {
                 eprintln!("error: a weighted-objective contract failed (see report above)");
-                return ExitCode::FAILURE;
-            }
-        }
-        "bench" => {
-            // The pinned perf trajectory: one end-to-end solve, the streaming
-            // churn scenario, the serve load scenario, the weighted objective
-            // scenario, and the measured cost of the tdb-obs instrumentation,
-            // recorded to BENCH_<tag>.json for PR-over-PR comparison.
-            let dataset = Dataset::WikiVote;
-            let g = proxy(dataset, cfg);
-            let constraint = HopConstraint::new(5);
-            let Some(e2e) = run_cell(&g, dataset, Algorithm::TdbPlusPlus, &constraint, cfg) else {
-                eprintln!("error: the end-to-end cell was gated off");
-                return ExitCode::FAILURE;
-            };
-            print_block(
-                "Bench 1/5: end-to-end TDB++ (k = 5)",
-                &format_rows(std::slice::from_ref(&e2e)),
-            );
-            let stream_report = run_stream(&options.stream);
-            print_block(
-                "Bench 2/5: streaming churn",
-                &format_stream_report(&stream_report),
-            );
-            let serve_report = run_serve(&options.serve);
-            print_block("Bench 3/5: serve load", &format_serve_report(&serve_report));
-            let weighted_report = run_weighted(&options.weighted);
-            print_block(
-                "Bench 4/5: weighted objective (MinWeight vs MinCardinality, budgeted)",
-                &format_weighted_report(&weighted_report),
-            );
-            // The solve under test is ~1 ms, so single samples carry percent-
-            // scale scheduler noise. 300 paired samples (~0.7 s) let the
-            // median-of-ratios estimator resolve the sub-percent true
-            // overhead well inside the 2% budget.
-            let overhead_samples = if options.smoke { 1 } else { 300 };
-            let overhead = measure_solve_overhead(&g, &constraint, overhead_samples);
-            print_block(
-                "Bench 5/5: tdb-obs instrumentation overhead (TDB++, registry off vs on)",
-                std::slice::from_ref(&overhead.format()),
-            );
-
-            let ok = (!options.stream.verify_each_batch
-                || stream_report.valid_batches == stream_report.batches)
-                && serve_report.healthy()
-                && weighted_report.healthy();
-            let doc = trajectory_document(
-                &options.bench_tag,
-                &e2e,
-                &stream_report,
-                &serve_report,
-                &weighted_report,
-                &overhead,
-            );
-            let path = options
-                .bench_out
-                .clone()
-                .unwrap_or_else(|| format!("BENCH_{}.json", options.bench_tag));
-            if let Err(e) = std::fs::write(&path, doc.render()) {
-                eprintln!("error: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("\ntrajectory written to {path}");
-            if !ok {
-                eprintln!("error: a bench scenario failed its audit (see reports above)");
                 return ExitCode::FAILURE;
             }
         }
@@ -743,31 +525,6 @@ fn run(options: &Options) -> ExitCode {
             };
             if let Err(e) = outcome {
                 eprintln!("error: watch failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "stream" => {
-            let s = &options.stream;
-            let mut lines = vec![format!(
-                "workload  {} updates, batch {}, churn {:.0}%, k = {}, compact {}",
-                s.updates,
-                s.batch_size,
-                s.churn * 100.0,
-                s.k,
-                if s.compaction_threshold == 0 {
-                    "auto".to_string()
-                } else {
-                    s.compaction_threshold.to_string()
-                }
-            )];
-            let report = run_stream(s);
-            lines.extend(format_stream_report(&report));
-            print_block(
-                "Streaming: incremental cover maintenance vs full re-solve",
-                &lines,
-            );
-            if s.verify_each_batch && report.valid_batches != report.batches {
-                eprintln!("error: an intermediate cover failed the validity audit");
                 return ExitCode::FAILURE;
             }
         }
@@ -795,10 +552,7 @@ fn run(options: &Options) -> ExitCode {
             );
             large_scale(cfg);
         }
-        other => {
-            eprintln!("error: unknown command {other:?}");
-            return ExitCode::FAILURE;
-        }
+        other => unreachable!("parse_args accepts only known commands, not {other:?}"),
     }
     ExitCode::SUCCESS
 }

@@ -7,27 +7,27 @@
 //!
 //! * the `experiments` binary (`cargo run --release -p tdb-bench --bin
 //!   experiments -- all`) prints the rows of Table II, Table III, Table IV and
-//!   the data series behind Figures 6–10 in a plain-text form that
-//!   `EXPERIMENTS.md` quotes verbatim, and
+//!   the data series behind Figures 6–10 in plain text, and
 //! * the bench targets (`cargo bench -p tdb-bench`, driven by the crate's own
 //!   [`microbench`] harness) time the same algorithm/dataset/parameter
-//!   combinations on small proxies, one bench target per runtime table or
-//!   figure plus an `ablations` target for the design choices called out in
-//!   `DESIGN.md` §7.
+//!   combinations on small proxies: one bench target per runtime table or
+//!   figure, plus `ablations` (engine design choices), `streaming` (one
+//!   incremental batch vs a re-solve) and `observability` (the
+//!   instrumentation cost and its <2% contract).
 //!
 //! The library part holds the shared plumbing: proxy synthesis, per-row
 //! execution with the same gating the paper applies (the exhaustive baselines
 //! are only run on graphs they can finish), and table formatting.
+//!
+//! The end-to-end benchmark of solving, stream refresh and serving is the
+//! separate `benchmark/` package, not this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod microbench;
 pub mod overhead;
-pub mod serve;
 pub mod sharding;
-pub mod streaming;
-pub mod trajectory;
 pub mod watch;
 pub mod weighted;
 

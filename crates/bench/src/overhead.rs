@@ -3,7 +3,8 @@
 //! This module measures that claim instead of asserting it — the same solve is
 //! timed with the full observability stack disabled and enabled (the
 //! process-global registry, the flight recorder, and an active
-//! request-correlation scope), and the delta lands in the trajectory file.
+//! request-correlation scope), and the `observability` bench target prints the
+//! delta.
 
 use std::time::Instant;
 

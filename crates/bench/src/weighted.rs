@@ -12,8 +12,7 @@
 //! * **budget hardness** — a `Budget::MaxCost` solve never exceeds its cap
 //!   and reports the escaped cycles as its residual.
 //!
-//! Consumed by the `experiments weighted` subcommand and the `bench`
-//! trajectory (the `weighted` scenario of `BENCH_<tag>.json`).
+//! Consumed by the `experiments weighted` subcommand.
 
 use std::time::{Duration, Instant};
 

@@ -8,10 +8,9 @@
 //! a development machine anyway. The experiment harness therefore generates
 //! proxies: random graphs whose vertex count, edge count, degree skew and
 //! reciprocity follow the published statistics of each dataset, scaled by a
-//! user-chosen factor. The substitution is documented in `DESIGN.md` §4; the
-//! shape of the paper's results (which algorithm wins, by how many orders of
-//! magnitude, where DARC-DV and BUR+ stop being feasible) is driven by exactly
-//! the properties the proxies reproduce.
+//! user-chosen factor. The shape of the paper's results (which algorithm
+//! wins, by how many orders of magnitude, where DARC-DV and BUR+ stop being
+//! feasible) is driven by exactly the properties the proxies reproduce.
 //!
 //! ```
 //! use tdb_datasets::{Dataset, SynthesisConfig};

@@ -12,8 +12,8 @@
 //! * citation graphs → a mostly-acyclic preferential graph with a small
 //!   reciprocal fraction.
 //!
-//! The generators are deterministic in the seed, so `EXPERIMENTS.md` can quote
-//! exact measured cover sizes.
+//! The generators are deterministic in the seed, so a proxy's measured cover
+//! sizes can be quoted exactly and reproduced from the seed.
 
 use tdb_graph::gen::{
     erdos_renyi_gnm, preferential_attachment, rmat, PreferentialConfig, RmatConfig, Xoshiro256,

@@ -22,6 +22,17 @@ fn random_graph(rng: &mut Xoshiro256, n: u32, max_edges: usize) -> CsrGraph {
     graph_from_edges(&random_edge_list(rng, n, max_edges))
 }
 
+/// Which operations a random update stream draws.
+#[derive(Debug, Clone, Copy)]
+enum Mix {
+    /// One removal in three, the rest insertions.
+    Churn,
+    /// Insertions only.
+    InsertOnly,
+    /// Removals only; the stream ends early once no live edge is left.
+    RemoveOnly,
+}
+
 /// A random stream of insertions and removals with both endpoints in
 /// `vertices`. Removals are drawn from the live edges inside that range so a
 /// meaningful fraction actually hits.
@@ -30,6 +41,7 @@ fn random_ops(
     g: &CsrGraph,
     vertices: Range<VertexId>,
     count: usize,
+    mix: Mix,
 ) -> Vec<EdgeOp> {
     let mut live: Vec<(VertexId, VertexId)> = g
         .edges()
@@ -39,7 +51,12 @@ fn random_ops(
     let span = vertices.len();
     let mut ops = Vec::with_capacity(count);
     for _ in 0..count {
-        let remove = !live.is_empty() && rng.next_index(3) == 0;
+        let remove = match mix {
+            Mix::Churn => !live.is_empty() && rng.next_index(3) == 0,
+            Mix::InsertOnly => false,
+            Mix::RemoveOnly if live.is_empty() => break,
+            Mix::RemoveOnly => true,
+        };
         if remove {
             let idx = rng.next_index(live.len());
             let (u, v) = live.swap_remove(idx);
@@ -97,53 +114,73 @@ fn minimize_and_check(dynamic: &mut DynamicCover, label: &str) {
 /// valid (checked both by the block verifier and by brute-force enumeration)
 /// and the re-minimization that follows equals a full Algorithm 7 pass; the
 /// final cover is within a small factor of the from-scratch solver's size.
+/// Mixed churn, insert-only and remove-only streams each get 32 cases.
 #[test]
 fn incremental_matches_scratch_after_random_churn() {
-    for case in 0..32u64 {
-        let mut rng = Xoshiro256::seed_from_u64(9000 + case);
-        let g = random_graph(&mut rng, 16, 50);
-        let k = 3 + rng.next_index(3);
-        let constraint = HopConstraint::new(k);
-        let ops = random_ops(&mut rng, &g, 0..16, 60);
-
-        let mut dynamic = Solver::new(Algorithm::TdbPlusPlus)
-            .solve_dynamic(g, &constraint)
-            .unwrap();
-        for (i, chunk) in ops.chunks(10).enumerate() {
-            let batch: EdgeBatch = chunk.iter().copied().collect();
-            dynamic.apply(&batch);
-            // The headline invariant: valid after *every* batch.
-            assert!(dynamic.is_valid(), "case {case}: invalid mid-stream");
-            assert!(
-                verify_by_enumeration(
-                    &dynamic.materialize(),
-                    dynamic.cover(),
-                    &constraint,
-                    1_000_000
-                )
-                .is_ok(),
-                "case {case}, batch {i}: brute-force found an uncovered cycle"
-            );
-            minimize_and_check(&mut dynamic, &format!("case {case}, batch {i}"));
+    for (mix, seeds) in [
+        (Mix::Churn, 9000),
+        (Mix::InsertOnly, 9100),
+        (Mix::RemoveOnly, 9200),
+    ] {
+        for case in seeds..seeds + 32 {
+            churn_matches_scratch(case, mix);
         }
+    }
+}
 
-        let final_graph = dynamic.materialize();
+fn churn_matches_scratch(case: u64, mix: Mix) {
+    let mut rng = Xoshiro256::seed_from_u64(case);
+    let g = random_graph(&mut rng, 16, 50);
+    let k = 3 + rng.next_index(3);
+    let constraint = HopConstraint::new(k);
+    let ops = random_ops(&mut rng, &g, 0..16, 60, mix);
 
-        // Size parity with a from-scratch solve. Minimal covers are not
-        // unique, so exact equality is not required — but the maintained
-        // cover must stay in the same league as the static solver's.
-        let scratch = Solver::new(Algorithm::TdbPlusPlus)
-            .solve(&final_graph, &constraint)
-            .unwrap();
+    let mut dynamic = Solver::new(Algorithm::TdbPlusPlus)
+        .solve_dynamic(g, &constraint)
+        .unwrap();
+    for (i, chunk) in ops.chunks(10).enumerate() {
+        let batch: EdgeBatch = chunk.iter().copied().collect();
+        dynamic.apply(&batch);
+        // The headline invariant: valid after *every* batch.
+        assert!(dynamic.is_valid(), "case {case}: invalid mid-stream");
         assert!(
-            dynamic.cover().len() <= 2 * scratch.cover_size() + 2,
-            "case {case}: dynamic {} vs scratch {}",
-            dynamic.cover().len(),
-            scratch.cover_size()
+            verify_by_enumeration(
+                &dynamic.materialize(),
+                dynamic.cover(),
+                &constraint,
+                1_000_000
+            )
+            .is_ok(),
+            "case {case}, batch {i}: brute-force found an uncovered cycle"
         );
-        if scratch.cover_size() == 0 {
-            assert!(dynamic.cover().is_empty(), "case {case}");
+        minimize_and_check(&mut dynamic, &format!("case {case}, batch {i}"));
+    }
+    let totals = dynamic.totals();
+    match mix {
+        Mix::Churn => {}
+        Mix::InsertOnly => assert_eq!(totals.removes, 0, "case {case}"),
+        Mix::RemoveOnly => {
+            assert_eq!(totals.inserts, 0, "case {case}");
+            assert!(totals.removes > 0, "case {case}");
         }
+    }
+
+    let final_graph = dynamic.materialize();
+
+    // Size parity with a from-scratch solve. Minimal covers are not
+    // unique, so exact equality is not required — but the maintained
+    // cover must stay in the same league as the static solver's.
+    let scratch = Solver::new(Algorithm::TdbPlusPlus)
+        .solve(&final_graph, &constraint)
+        .unwrap();
+    assert!(
+        dynamic.cover().len() <= 2 * scratch.cover_size() + 2,
+        "case {case}: dynamic {} vs scratch {}",
+        dynamic.cover().len(),
+        scratch.cover_size()
+    );
+    if scratch.cover_size() == 0 {
+        assert!(dynamic.cover().is_empty(), "case {case}");
     }
 }
 
@@ -188,7 +225,7 @@ fn compaction_policy_does_not_change_results() {
         let mut rng = Xoshiro256::seed_from_u64(13_000 + case);
         let g = random_graph(&mut rng, 16, 50);
         let constraint = HopConstraint::new(4);
-        let ops = random_ops(&mut rng, &g, 0..16, 50);
+        let ops = random_ops(&mut rng, &g, 0..16, 50, Mix::Churn);
 
         let covers: Vec<Vec<VertexId>> = [1usize, 16, usize::MAX]
             .into_iter()
@@ -245,7 +282,7 @@ fn multi_scc_churn_in_one_block_matches_a_full_pass() {
         let constraint = HopConstraint::new(k);
         let block = rng.next_index(blocks) as VertexId;
         let churned = block * size..(block + 1) * size;
-        let ops = random_ops(&mut rng, &g, churned.clone(), 60);
+        let ops = random_ops(&mut rng, &g, churned.clone(), 60, Mix::Churn);
 
         let mut dynamic = Solver::new(Algorithm::TdbPlusPlus)
             .solve_dynamic(g, &constraint)

@@ -1,8 +1,9 @@
 //! Minimal deterministic PRNG used by every synthetic graph generator.
 //!
 //! The generators must be bit-for-bit reproducible across platforms and across
-//! releases of third-party crates, because the experiment harness compares cover
-//! sizes against the values recorded in `EXPERIMENTS.md`. A vendored
+//! releases of third-party crates, because the golden fixtures, the
+//! differential matrix and the benchmark's exact counts pin cover sizes per
+//! seed. A vendored
 //! xoshiro256** (seeded through SplitMix64, as recommended by its authors) keeps
 //! that guarantee independent of the `rand` crate's evolution.
 

@@ -17,11 +17,10 @@
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::json::Json;
+use crate::ring::{Rings, Slot};
 
 /// Default per-thread ring capacity, in events.
 pub const DEFAULT_THREAD_CAPACITY: usize = 8_192;
@@ -143,110 +142,51 @@ pub struct Event {
     pub fields: Vec<(&'static str, Value)>,
 }
 
-#[derive(Debug, Default)]
-struct Ring {
-    events: VecDeque<Event>,
-    dropped: u64,
-}
-
-#[derive(Debug)]
-struct ThreadBuf {
-    ring: Mutex<Ring>,
-}
-
-#[derive(Debug)]
-struct Recorder {
-    enabled: AtomicBool,
-    capacity: AtomicUsize,
-    next_seq: AtomicU64,
-    threads: Mutex<Vec<Arc<ThreadBuf>>>,
-}
-
-fn recorder() -> &'static Recorder {
-    static RECORDER: OnceLock<Recorder> = OnceLock::new();
-    RECORDER.get_or_init(|| Recorder {
-        enabled: AtomicBool::new(false),
-        capacity: AtomicUsize::new(DEFAULT_THREAD_CAPACITY),
-        next_seq: AtomicU64::new(1),
-        threads: Mutex::new(Vec::new()),
-    })
-}
-
 thread_local! {
-    static LOCAL: OnceCell<Arc<ThreadBuf>> = const { OnceCell::new() };
+    static SLOT: Slot<Event> = const { OnceCell::new() };
 }
+
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
+static RINGS: Rings<Event> = Rings::new(&SLOT, DEFAULT_THREAD_CAPACITY);
 
 /// Turn event recording on or off (off by default).
 pub fn set_enabled(on: bool) {
-    recorder().enabled.store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether events are currently recorded — the `event!` macro's one relaxed
 /// load on the disabled fast path.
 #[inline]
 pub fn is_enabled() -> bool {
-    recorder().enabled.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Set the per-thread ring capacity (events kept per thread before the
 /// oldest are dropped). Applies to future records on every thread.
 pub fn set_thread_capacity(capacity: usize) {
-    recorder()
-        .capacity
-        .store(capacity.max(1), Ordering::Relaxed);
+    RINGS.set_capacity(capacity);
 }
 
 /// Record one event. Prefer the [`crate::event!`] macro, which skips the
 /// payload construction entirely while the recorder is disabled.
 pub fn record(level: Level, target: &'static str, fields: Vec<(&'static str, Value)>) {
-    let r = recorder();
-    if !r.enabled.load(Ordering::Relaxed) {
+    if !is_enabled() {
         return;
     }
     let event = Event {
-        seq: r.next_seq.fetch_add(1, Ordering::Relaxed),
+        seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
         level,
         ts_us: crate::trace::now_us(),
         target,
         request_id: crate::request::current(),
         fields,
     };
-    LOCAL.with(|cell| {
-        let buf = cell.get_or_init(|| {
-            let buf = Arc::new(ThreadBuf {
-                ring: Mutex::new(Ring::default()),
-            });
-            r.threads
-                .lock()
-                .expect("event thread registry poisoned")
-                .push(Arc::clone(&buf));
-            buf
-        });
-        let capacity = r.capacity.load(Ordering::Relaxed).max(1);
-        let mut ring = buf.ring.lock().expect("event ring poisoned");
-        while ring.events.len() >= capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(event);
-    });
+    RINGS.push(|_| event);
 }
 
-fn collect(consume: bool) -> Vec<Event> {
-    let threads: Vec<Arc<ThreadBuf>> = recorder()
-        .threads
-        .lock()
-        .expect("event thread registry poisoned")
-        .clone();
-    let mut events = Vec::new();
-    for buf in threads {
-        let mut ring = buf.ring.lock().expect("event ring poisoned");
-        if consume {
-            events.extend(ring.events.drain(..));
-        } else {
-            events.extend(ring.events.iter().cloned());
-        }
-    }
+fn collect(take: bool) -> Vec<Event> {
+    let mut events = RINGS.collect(take);
     events.sort_by_key(|e| e.seq);
     events
 }
@@ -265,15 +205,7 @@ pub fn recent() -> Vec<Event> {
 /// Total events dropped to ring overflow so far, across all threads. Drops
 /// survive [`drain`]; the count only moves forward.
 pub fn dropped() -> u64 {
-    let threads: Vec<Arc<ThreadBuf>> = recorder()
-        .threads
-        .lock()
-        .expect("event thread registry poisoned")
-        .clone();
-    threads
-        .iter()
-        .map(|buf| buf.ring.lock().expect("event ring poisoned").dropped)
-        .sum()
+    RINGS.dropped()
 }
 
 /// Render events as JSON Lines: one compact object per event with `seq`,
@@ -303,6 +235,7 @@ pub fn jsonl(events: &[Event]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     // The recorder is process-global; tests that flip it on serialize here.
     fn lock() -> std::sync::MutexGuard<'static, ()> {

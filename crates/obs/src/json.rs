@@ -1,7 +1,7 @@
 //! A tiny hand-rolled JSON writer (the workspace builds fully offline, so no
 //! serde): exactly the shapes the exporters need — objects, arrays, strings,
 //! integers, finite floats — with deterministic key order. Shared by the
-//! Chrome trace exporter here and the bench trajectory files in `tdb-bench`.
+//! Chrome trace exporter and the flight recorder's JSONL rendering.
 
 use std::fmt::Write as _;
 

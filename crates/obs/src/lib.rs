@@ -22,9 +22,9 @@
 //!   gated, because engine correctness counters double as metrics).
 //! * **Measured budget.** End-to-end instrumentation overhead on the
 //!   standard TDB++ scenario stays below 2% with the registry *and* the
-//!   flight recorder enabled; `experiments bench` measures this and records
-//!   it in the `BENCH_<tag>.json` trajectory, and `cargo bench -p tdb-bench
-//!   --bench observability` reports the per-primitive costs.
+//!   flight recorder enabled; `cargo bench -p tdb-bench --bench
+//!   observability` measures this end to end and reports the per-primitive
+//!   costs.
 //!
 //! # Pieces
 //!
@@ -51,6 +51,7 @@ pub mod histogram;
 pub mod json;
 pub mod registry;
 pub mod request;
+mod ring;
 pub mod trace;
 
 pub use event::Level;

@@ -17,12 +17,12 @@
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::ring::{Rings, Slot};
 
 /// Default per-thread ring capacity, in events.
 pub const DEFAULT_THREAD_CAPACITY: usize = 65_536;
@@ -43,62 +43,33 @@ pub struct TraceEvent {
     pub request_id: u64,
 }
 
-#[derive(Debug, Default)]
-struct Ring {
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-#[derive(Debug)]
-struct ThreadBuf {
-    tid: u64,
-    ring: Mutex<Ring>,
-}
-
-#[derive(Debug)]
-struct Tracer {
-    enabled: AtomicBool,
-    capacity: AtomicUsize,
-    next_tid: AtomicU64,
-    threads: Mutex<Vec<Arc<ThreadBuf>>>,
-    epoch: OnceLock<Instant>,
-}
-
-fn tracer() -> &'static Tracer {
-    static TRACER: OnceLock<Tracer> = OnceLock::new();
-    TRACER.get_or_init(|| Tracer {
-        enabled: AtomicBool::new(false),
-        capacity: AtomicUsize::new(DEFAULT_THREAD_CAPACITY),
-        next_tid: AtomicU64::new(1),
-        threads: Mutex::new(Vec::new()),
-        epoch: OnceLock::new(),
-    })
-}
-
 thread_local! {
-    static LOCAL: OnceCell<Arc<ThreadBuf>> = const { OnceCell::new() };
+    static SLOT: Slot<TraceEvent> = const { OnceCell::new() };
 }
+
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+static RINGS: Rings<TraceEvent> = Rings::new(&SLOT, DEFAULT_THREAD_CAPACITY);
 
 /// Turn span recording on or off (off by default).
 pub fn set_enabled(on: bool) {
-    tracer().enabled.store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether spans are currently recorded.
 pub fn is_enabled() -> bool {
-    tracer().enabled.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Set the per-thread ring capacity (events kept per thread before the
 /// oldest are dropped). Applies to future records on every thread.
 pub fn set_thread_capacity(capacity: usize) {
-    tracer().capacity.store(capacity.max(1), Ordering::Relaxed);
+    RINGS.set_capacity(capacity);
 }
 
 /// Microseconds since the tracer epoch (the first call fixes the epoch).
 pub fn now_us() -> f64 {
-    let epoch = tracer().epoch.get_or_init(Instant::now);
-    epoch.elapsed().as_secs_f64() * 1e6
+    EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64() * 1e6
 }
 
 /// Open a span named by a static string. Returns `None` when tracing is
@@ -146,51 +117,21 @@ impl Drop for SpanGuard {
 /// Record a complete event directly (the span guards use this; tests and
 /// custom instrumentation may too). A no-op while tracing is disabled.
 pub fn record_complete(name: impl Into<Cow<'static, str>>, start_us: f64, dur_us: f64) {
-    let t = tracer();
-    if !t.enabled.load(Ordering::Relaxed) {
+    if !is_enabled() {
         return;
     }
-    LOCAL.with(|cell| {
-        let buf = cell.get_or_init(|| {
-            let buf = Arc::new(ThreadBuf {
-                tid: t.next_tid.fetch_add(1, Ordering::Relaxed),
-                ring: Mutex::new(Ring::default()),
-            });
-            t.threads
-                .lock()
-                .expect("tracer thread registry poisoned")
-                .push(Arc::clone(&buf));
-            buf
-        });
-        let capacity = t.capacity.load(Ordering::Relaxed).max(1);
-        let mut ring = buf.ring.lock().expect("trace ring poisoned");
-        while ring.events.len() >= capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        let tid = buf.tid;
-        ring.events.push_back(TraceEvent {
-            name: name.into(),
-            start_us,
-            dur_us,
-            tid,
-            request_id: crate::request::current(),
-        });
+    RINGS.push(|tid| TraceEvent {
+        name: name.into(),
+        start_us,
+        dur_us,
+        tid,
+        request_id: crate::request::current(),
     });
 }
 
 /// Take every buffered event from every thread, ordered by start time.
 pub fn drain() -> Vec<TraceEvent> {
-    let threads: Vec<Arc<ThreadBuf>> = tracer()
-        .threads
-        .lock()
-        .expect("tracer thread registry poisoned")
-        .clone();
-    let mut events = Vec::new();
-    for buf in threads {
-        let mut ring = buf.ring.lock().expect("trace ring poisoned");
-        events.extend(ring.events.drain(..));
-    }
+    let mut events = RINGS.collect(true);
     events.sort_by(|a, b| {
         a.start_us
             .partial_cmp(&b.start_us)
@@ -202,15 +143,7 @@ pub fn drain() -> Vec<TraceEvent> {
 
 /// Total events dropped to ring overflow so far, across all threads.
 pub fn dropped() -> u64 {
-    let threads: Vec<Arc<ThreadBuf>> = tracer()
-        .threads
-        .lock()
-        .expect("tracer thread registry poisoned")
-        .clone();
-    threads
-        .iter()
-        .map(|buf| buf.ring.lock().expect("trace ring poisoned").dropped)
-        .sum()
+    RINGS.dropped()
 }
 
 /// Render events as a Chrome trace-event JSON document (the object form with
@@ -274,6 +207,7 @@ pub fn chrome_trace_json_with_events(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     // The tracer is process-global; tests that flip it on serialize here.
     fn lock() -> std::sync::MutexGuard<'static, ()> {

@@ -106,7 +106,7 @@ impl CoverServer {
         let slow_requests = registry.counter("tdb_serve_slow_requests_total");
         let server_stats = Arc::new(ServerStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(Mutex::new(Vec::new()));
+        let connections = Arc::new(Mutex::new(Vec::<JoinHandle<()>>::new()));
 
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -158,10 +158,20 @@ impl CoverServer {
                                     .name("tdb-serve-conn".into())
                                     .spawn(move || conn.run(stream))
                                     .expect("spawning a connection thread cannot fail");
-                                connections
-                                    .lock()
-                                    .expect("connection registry poisoned")
-                                    .push(handle);
+                                let mut live =
+                                    connections.lock().expect("connection registry poisoned");
+                                // Join finished handlers (at once, they have
+                                // exited), so the registry holds the open
+                                // connections, not every one ever accepted.
+                                let mut i = 0;
+                                while i < live.len() {
+                                    if live[i].is_finished() {
+                                        let _ = live.swap_remove(i).join();
+                                    } else {
+                                        i += 1;
+                                    }
+                                }
+                                live.push(handle);
                             }
                             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                                 std::thread::sleep(POLL);
@@ -590,5 +600,65 @@ impl Connection {
             Request::Shutdown => return ("OK BYE".to_string(), true),
         };
         (response, false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+    use tdb_core::{Algorithm, HopConstraint, Solver};
+    use tdb_dynamic::SolveDynamic;
+    use tdb_graph::builder::graph_from_edges;
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let cover = Solver::new(Algorithm::TdbPlusPlus)
+            .solve_dynamic(
+                graph_from_edges(&[(0, 1), (1, 2), (2, 0)]),
+                &HopConstraint::new(3),
+            )
+            .unwrap();
+        let server = CoverServer::start(cover, ServeConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let handles = || server.connections.lock().unwrap();
+        // 200 connections in batches that fit the listen backlog; a PING
+        // round trip proves each one was accepted before it closes.
+        for _ in 0..4 {
+            let mut batch: Vec<_> = (0..50)
+                .map(|_| ServeClient::connect(addr).unwrap())
+                .collect();
+            for client in &mut batch {
+                client.ping().unwrap();
+            }
+        }
+        wait_until("every closed connection's thread exits", || {
+            handles().iter().all(|h| h.is_finished())
+        });
+        let mut open = ServeClient::connect(addr).unwrap();
+        open.ping().unwrap();
+        wait_until("the open connection is registered", || {
+            handles().iter().any(|h| !h.is_finished())
+        });
+        let (registered, finished) = {
+            let live = handles();
+            (live.len(), live.iter().filter(|h| h.is_finished()).count())
+        };
+        assert_eq!(registered, 1, "only the open connection's handle remains");
+        assert_eq!(finished, 0);
+        assert_eq!(
+            server.server_stats().connections.load(Ordering::Relaxed),
+            201
+        );
+        drop(open);
+        server.shutdown();
     }
 }

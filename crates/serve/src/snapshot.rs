@@ -316,15 +316,12 @@ impl BreakerScratch {
         }
     }
 
-    /// Resize to exactly `n` vertices if the current capacity differs.
+    /// Grow in place to cover `n` vertices. Never shrinks, so a snapshot
+    /// that gained a vertex costs a reader no rebuild.
     fn fit(&mut self, n: usize) {
-        if self.forward.capacity() != n {
-            self.forward = BoundedBfs::new(n);
-            self.backward = BoundedBfs::new(n);
-        }
-        if self.active.len() != n {
-            self.active = ActiveSet::all_active(n);
-        }
+        self.forward.ensure_capacity(n);
+        self.backward.ensure_capacity(n);
+        self.active.ensure_len(n, true);
     }
 }
 
@@ -483,5 +480,35 @@ mod tests {
         assert_eq!(after.epoch(), 1);
         assert_eq!(after.edge_count(), 3);
         assert!(after.audit_valid());
+    }
+
+    #[test]
+    fn one_scratch_grows_in_place_across_snapshots() {
+        // Two rings per vertex (i → i+1, i → i+2): every vertex is on a
+        // short cycle, so most pairs have breakers.
+        let rings = |n: VertexId| -> Vec<(VertexId, VertexId)> {
+            (0..n)
+                .flat_map(|i| [(i, (i + 1) % n), (i, (i + 2) % n)])
+                .collect()
+        };
+        let mut reused = BreakerScratch::default();
+        let mut widest = 0;
+        for (epoch, n) in [4, 7, 12, 5].into_iter().enumerate() {
+            let snap = snapshot_of(&rings(n), 4, epoch as u64);
+            for u in 0..n {
+                for v in 0..n {
+                    let fresh = snap.breakers_through(&mut BreakerScratch::default(), u, v);
+                    assert_eq!(
+                        snap.breakers_through(&mut reused, u, v),
+                        fresh,
+                        "n {n}: {u} {v}"
+                    );
+                }
+            }
+            widest = widest.max(n as usize);
+            assert_eq!(reused.active.len(), widest, "the mask never shrinks");
+            assert!(reused.forward.capacity() >= widest);
+            assert!(reused.backward.capacity() >= widest);
+        }
     }
 }
