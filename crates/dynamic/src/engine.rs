@@ -214,9 +214,11 @@ impl DynamicCover {
     /// Graph and cover are captured at the same instant, so the pair satisfies
     /// the engine's invariant: the cover is valid for exactly this graph. The
     /// copy is cheap enough to take once per update batch: the graph clone
-    /// shares the CSR base by reference count ([`DeltaGraph`] overlays and the
-    /// cover list are the only per-call copies), so the cost is `O(n)` vector
-    /// headers plus the live delta, not `O(n + m)` adjacency.
+    /// shares the CSR base and every copy-on-write overlay chunk of the
+    /// [`DeltaGraph`] by reference count, so the cost is one pointer copy per
+    /// 64 vertices plus the cover list, not `O(n + m)` adjacency. The
+    /// engine's next write to a shared chunk copies that chunk (64 vertices'
+    /// lists) once.
     pub fn state(&self) -> CoverState {
         CoverState {
             graph: self.graph.clone(),
@@ -504,7 +506,7 @@ fn publish_window(window: &UpdateMetrics) {
 /// queries against it long after the live engine has moved on.
 #[derive(Debug, Clone)]
 pub struct CoverState {
-    /// The graph at capture time (CSR base shared, overlay copied).
+    /// The graph at capture time (CSR base and overlay chunks shared).
     pub graph: DeltaGraph,
     /// The cover at capture time, valid for [`CoverState::graph`].
     pub cover: CycleCover,

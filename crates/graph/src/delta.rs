@@ -3,13 +3,29 @@
 //!
 //! A [`DeltaGraph`] is a CSR *base* plus two per-vertex overlays:
 //!
-//! * **inserted** edges that are not in the base, kept as sorted vectors, and
+//! * **inserted** edges that are not in the base, kept as sorted lists, and
 //! * **tombstoned** base edges that have been removed, also kept sorted.
 //!
 //! Neighbor iteration merges the base slice (skipping tombstones) with the
 //! inserted list in one sorted, duplicate-free pass, so the overlay satisfies
 //! the [`GraphView`] contract and every view-generic search primitive works on
 //! it unchanged. Lookups and updates are `O(log d)` per endpoint.
+//!
+//! The overlay is stored copy-on-write in chunks of 64 vertices. Each
+//! direction keeps a directory with one slot per chunk; a slot is either
+//! empty (no vertex of the chunk has overlay entries) or an `Arc` of the
+//! chunk's 64 `{inserted, tombstoned}` list pairs. Cloning a `DeltaGraph`
+//! therefore copies one pointer per chunk and shares every list, and a later
+//! write copies only the chunk it touches, and only while a clone still
+//! shares it — path copying, as in Driscoll, Sarnak, Sleator and Tarjan's
+//! persistent data structures. The serving layer clones the graph once per
+//! published snapshot, so a publish costs `O(n / 64)` pointer copies.
+//!
+//! A list of up to three entries — most overlay lists — is stored inside its
+//! chunk entry rather than in an allocation of its own. The chunk directory
+//! adds one dependent load to every neighbor scan; reading short lists in
+//! place saves the load of a separate list buffer, which more than pays it
+//! back.
 //!
 //! The overlay degrades as it grows (each neighbor scan walks base + delta);
 //! [`DeltaGraph::compact`] rebuilds a clean CSR from the merged edge set and
@@ -24,6 +40,142 @@ use crate::csr::CsrGraph;
 use crate::types::{Edge, VertexId};
 use crate::view::GraphView;
 use crate::Graph;
+
+/// Vertices per overlay chunk: the unit a clone shares and a write copies.
+const CHUNK: usize = 64;
+
+/// Entries a [`SmallList`] holds inline: three ids and a length fit beside
+/// the layout niche of the `Vec` a longer list holds, so the list takes no
+/// more room than that `Vec`.
+const INLINE: usize = 3;
+
+/// A sorted list of vertex ids, stored inline up to [`INLINE`] entries and on
+/// the heap beyond. A list that spilled to the heap stays there and keeps its
+/// capacity, as a `Vec` does.
+#[derive(Debug, Clone)]
+enum SmallList {
+    Inline(u8, [VertexId; INLINE]),
+    Heap(Vec<VertexId>),
+}
+
+impl std::ops::Deref for SmallList {
+    type Target = [VertexId];
+
+    #[inline]
+    fn deref(&self) -> &[VertexId] {
+        match self {
+            SmallList::Inline(len, items) => &items[..*len as usize],
+            SmallList::Heap(items) => items,
+        }
+    }
+}
+
+impl SmallList {
+    const EMPTY: SmallList = SmallList::Inline(0, [0; INLINE]);
+
+    /// Insert `v` at position `idx`, shifting the entries after it.
+    fn insert(&mut self, idx: usize, v: VertexId) {
+        match self {
+            SmallList::Inline(len, items) if (*len as usize) < INLINE => {
+                items.copy_within(idx..*len as usize, idx + 1);
+                items[idx] = v;
+                *len += 1;
+            }
+            SmallList::Inline(_, items) => {
+                let mut spilled = Vec::with_capacity(2 * INLINE);
+                spilled.extend_from_slice(items);
+                spilled.insert(idx, v);
+                *self = SmallList::Heap(spilled);
+            }
+            SmallList::Heap(items) => items.insert(idx, v),
+        }
+    }
+
+    /// Remove the entry at position `idx`, shifting the entries after it.
+    fn remove(&mut self, idx: usize) {
+        match self {
+            SmallList::Inline(len, items) => {
+                items.copy_within(idx + 1..*len as usize, idx);
+                *len -= 1;
+            }
+            SmallList::Heap(items) => {
+                items.remove(idx);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            SmallList::Inline(len, _) => *len = 0,
+            SmallList::Heap(items) => items.clear(),
+        }
+    }
+}
+
+/// The overlay of one vertex in one direction: neighbors inserted beyond the
+/// base and tombstoned base neighbors.
+#[derive(Debug, Clone)]
+struct Lists {
+    ins: SmallList,
+    del: SmallList,
+}
+
+/// What an empty directory slot reads as, and what a new chunk holds.
+static EMPTY: Lists = Lists {
+    ins: SmallList::EMPTY,
+    del: SmallList::EMPTY,
+};
+
+/// One direction of the overlay: a directory of copy-on-write chunks, one
+/// slot per [`CHUNK`] vertices, `None` until a vertex of the slot is written.
+#[derive(Debug, Clone, Default)]
+struct Overlay {
+    slots: Vec<Option<Arc<[Lists; CHUNK]>>>,
+}
+
+impl Overlay {
+    #[inline]
+    fn get(&self, v: VertexId) -> &Lists {
+        let v = v as usize;
+        match &self.slots[v / CHUNK] {
+            Some(chunk) => &chunk[v % CHUNK],
+            None => &EMPTY,
+        }
+    }
+
+    /// The lists of `v` for writing: copies the chunk first if a clone still
+    /// shares it.
+    fn get_mut(&mut self, v: VertexId) -> &mut Lists {
+        let v = v as usize;
+        let chunk = self.slots[v / CHUNK]
+            .get_or_insert_with(|| Arc::new(std::array::from_fn(|_| EMPTY.clone())));
+        &mut Arc::make_mut(chunk)[v % CHUNK]
+    }
+
+    /// Grow the directory to cover `n` vertices.
+    fn grow(&mut self, n: usize) {
+        let slots = n.div_ceil(CHUNK);
+        if slots > self.slots.len() {
+            self.slots.resize(slots, None);
+        }
+    }
+
+    /// Empty every list: a chunk owned alone is cleared in place, keeping the
+    /// lists' capacity; a chunk a clone still shares is dropped.
+    fn clear(&mut self) {
+        for slot in &mut self.slots {
+            match slot.as_mut().and_then(Arc::get_mut) {
+                Some(chunk) => {
+                    for lists in chunk.iter_mut() {
+                        lists.ins.clear();
+                        lists.del.clear();
+                    }
+                }
+                None => *slot = None,
+            }
+        }
+    }
+}
 
 /// A directed graph stored as an immutable CSR base plus a mutable edge delta.
 ///
@@ -41,20 +193,21 @@ use crate::Graph;
 /// assert_eq!(g.delta_len(), 0);
 /// assert!(g.contains_edge(0, 2));
 /// ```
+///
+/// Cloning is cheap: a clone shares the CSR base and every overlay chunk by
+/// reference count, so it costs `O(n / 64)` pointer copies, and each side
+/// copies a chunk only when it first writes to one the other still holds.
 #[derive(Debug, Clone)]
 pub struct DeltaGraph {
-    /// The immutable CSR base, shared rather than owned: cloning a
-    /// `DeltaGraph` (the serving layer does it once per published snapshot)
-    /// copies only the overlay vectors, while the `O(n + m)` base arrays are
-    /// reference-counted. The base is never mutated in place — compaction
-    /// installs a freshly built CSR.
+    /// The immutable CSR base, shared rather than owned. The base is never
+    /// mutated in place — compaction installs a freshly built CSR.
     base: Arc<CsrGraph>,
-    /// Inserted out-/in-adjacency, indexed by vertex, each list sorted.
-    ins_out: Vec<Vec<VertexId>>,
-    ins_in: Vec<Vec<VertexId>>,
-    /// Tombstoned base out-/in-adjacency, indexed by vertex, each list sorted.
-    del_out: Vec<Vec<VertexId>>,
-    del_in: Vec<Vec<VertexId>>,
+    /// Out-adjacency overlay: inserted and tombstoned out-neighbors.
+    out: Overlay,
+    /// In-adjacency overlay, the mirror of `out`.
+    inc: Overlay,
+    /// Valid vertex ids are `0..vertex_count`; may exceed the base's count.
+    vertex_count: usize,
     /// Live overlay entry counts (inserted edges / tombstones).
     inserted: usize,
     deleted: usize,
@@ -68,16 +221,16 @@ impl DeltaGraph {
 
     /// Wrap an already reference-counted CSR base with an empty delta.
     pub fn from_shared(base: Arc<CsrGraph>) -> Self {
-        let n = base.num_vertices();
-        DeltaGraph {
+        let mut g = DeltaGraph {
+            vertex_count: 0,
             base,
-            ins_out: vec![Vec::new(); n],
-            ins_in: vec![Vec::new(); n],
-            del_out: vec![Vec::new(); n],
-            del_in: vec![Vec::new(); n],
+            out: Overlay::default(),
+            inc: Overlay::default(),
             inserted: 0,
             deleted: 0,
-        }
+        };
+        g.grow(g.base.num_vertices());
+        g
     }
 
     /// The immutable CSR base (without the delta applied).
@@ -115,12 +268,14 @@ impl DeltaGraph {
     /// New vertices start isolated. The CSR base is untouched; base adjacency
     /// for ids beyond the base vertex count is empty.
     pub fn ensure_vertex(&mut self, v: VertexId) {
-        let needed = v as usize + 1;
-        if needed > self.ins_out.len() {
-            self.ins_out.resize(needed, Vec::new());
-            self.ins_in.resize(needed, Vec::new());
-            self.del_out.resize(needed, Vec::new());
-            self.del_in.resize(needed, Vec::new());
+        self.grow(v as usize + 1);
+    }
+
+    fn grow(&mut self, n: usize) {
+        if n > self.vertex_count {
+            self.vertex_count = n;
+            self.out.grow(n);
+            self.inc.grow(n);
         }
     }
 
@@ -160,26 +315,28 @@ impl DeltaGraph {
         }
         self.ensure_vertex(u.max(v));
         // Resurrect a tombstoned base edge.
-        if let Ok(idx) = self.del_out[u as usize].binary_search(&v) {
-            self.del_out[u as usize].remove(idx);
-            let in_idx = self.del_in[v as usize]
+        if let Ok(idx) = self.out.get(u).del.binary_search(&v) {
+            self.out.get_mut(u).del.remove(idx);
+            let del_in = &mut self.inc.get_mut(v).del;
+            let in_idx = del_in
                 .binary_search(&u)
                 .expect("tombstone lists out of sync");
-            self.del_in[v as usize].remove(in_idx);
+            del_in.remove(in_idx);
             self.deleted -= 1;
             return true;
         }
         if self.base_has(u, v) {
             return false; // live in the base already
         }
-        match self.ins_out[u as usize].binary_search(&v) {
+        match self.out.get(u).ins.binary_search(&v) {
             Ok(_) => false, // already inserted
             Err(idx) => {
-                self.ins_out[u as usize].insert(idx, v);
-                let in_idx = self.ins_in[v as usize]
+                self.out.get_mut(u).ins.insert(idx, v);
+                let ins_in = &mut self.inc.get_mut(v).ins;
+                let in_idx = ins_in
                     .binary_search(&u)
                     .expect_err("insert lists out of sync");
-                self.ins_in[v as usize].insert(in_idx, u);
+                ins_in.insert(in_idx, u);
                 self.inserted += 1;
                 true
             }
@@ -191,25 +348,25 @@ impl DeltaGraph {
     /// Returns `true` when the edge was present (either a base edge, which is
     /// tombstoned, or an inserted edge, which is dropped from the overlay).
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u as usize >= self.ins_out.len() || v as usize >= self.ins_out.len() {
+        if u as usize >= self.vertex_count || v as usize >= self.vertex_count {
             return false;
         }
-        if let Ok(idx) = self.ins_out[u as usize].binary_search(&v) {
-            self.ins_out[u as usize].remove(idx);
-            let in_idx = self.ins_in[v as usize]
-                .binary_search(&u)
-                .expect("insert lists out of sync");
-            self.ins_in[v as usize].remove(in_idx);
+        if let Ok(idx) = self.out.get(u).ins.binary_search(&v) {
+            self.out.get_mut(u).ins.remove(idx);
+            let ins_in = &mut self.inc.get_mut(v).ins;
+            let in_idx = ins_in.binary_search(&u).expect("insert lists out of sync");
+            ins_in.remove(in_idx);
             self.inserted -= 1;
             return true;
         }
         if self.base_has(u, v) {
-            if let Err(idx) = self.del_out[u as usize].binary_search(&v) {
-                self.del_out[u as usize].insert(idx, v);
-                let in_idx = self.del_in[v as usize]
+            if let Err(idx) = self.out.get(u).del.binary_search(&v) {
+                self.out.get_mut(u).del.insert(idx, v);
+                let del_in = &mut self.inc.get_mut(v).del;
+                let in_idx = del_in
                     .binary_search(&u)
                     .expect_err("tombstone lists out of sync");
-                self.del_in[v as usize].insert(in_idx, u);
+                del_in.insert(in_idx, u);
                 self.deleted += 1;
                 return true;
             }
@@ -232,21 +389,15 @@ impl DeltaGraph {
     /// Rebuild the CSR base from the merged edge set and clear the overlays.
     ///
     /// Costs `O(n + m)`; afterwards neighbor iteration is pure slice traversal
-    /// again. A no-op when the delta is empty.
+    /// again. A no-op when the delta is empty. Chunks a clone still shares are
+    /// released to it rather than cleared.
     pub fn compact(&mut self) {
-        if self.delta_len() == 0 && self.base.num_vertices() == self.ins_out.len() {
+        if self.delta_len() == 0 && self.base.num_vertices() == self.vertex_count {
             return;
         }
         self.base = Arc::new(self.materialize());
-        for list in self
-            .ins_out
-            .iter_mut()
-            .chain(self.ins_in.iter_mut())
-            .chain(self.del_out.iter_mut())
-            .chain(self.del_in.iter_mut())
-        {
-            list.clear();
-        }
+        self.out.clear();
+        self.inc.clear();
         self.inserted = 0;
         self.deleted = 0;
     }
@@ -255,7 +406,7 @@ impl DeltaGraph {
 impl GraphView for DeltaGraph {
     #[inline]
     fn vertex_count(&self) -> usize {
-        self.ins_out.len()
+        self.vertex_count
     }
 
     #[inline]
@@ -265,41 +416,38 @@ impl GraphView for DeltaGraph {
 
     #[inline]
     fn out_iter(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        MergedNeighbors::new(
-            self.base_out(v),
-            &self.ins_out[v as usize],
-            &self.del_out[v as usize],
-        )
+        let lists = self.out.get(v);
+        MergedNeighbors::new(self.base_out(v), &lists.ins, &lists.del)
     }
 
     #[inline]
     fn in_iter(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        MergedNeighbors::new(
-            self.base_in(v),
-            &self.ins_in[v as usize],
-            &self.del_in[v as usize],
-        )
+        let lists = self.inc.get(v);
+        MergedNeighbors::new(self.base_in(v), &lists.ins, &lists.del)
     }
 
     #[inline]
     fn out_deg(&self, v: VertexId) -> usize {
-        self.base_out(v).len() + self.ins_out[v as usize].len() - self.del_out[v as usize].len()
+        let lists = self.out.get(v);
+        self.base_out(v).len() + lists.ins.len() - lists.del.len()
     }
 
     #[inline]
     fn in_deg(&self, v: VertexId) -> usize {
-        self.base_in(v).len() + self.ins_in[v as usize].len() - self.del_in[v as usize].len()
+        let lists = self.inc.get(v);
+        self.base_in(v).len() + lists.ins.len() - lists.del.len()
     }
 
     #[inline]
     fn contains_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u as usize >= self.ins_out.len() {
+        if u as usize >= self.vertex_count {
             return false;
         }
-        if self.ins_out[u as usize].binary_search(&v).is_ok() {
+        let lists = self.out.get(u);
+        if lists.ins.binary_search(&v).is_ok() {
             return true;
         }
-        self.base_has(u, v) && self.del_out[u as usize].binary_search(&v).is_err()
+        self.base_has(u, v) && lists.del.binary_search(&v).is_err()
     }
 }
 
@@ -465,15 +613,56 @@ mod tests {
         assert!(g.contains_edge(2, 3));
     }
 
+    /// Assert that `g` holds exactly the edge set `reference` on `n` vertices:
+    /// edge count, `contains_edge` on every pair, both degrees, and
+    /// `materialize`.
+    fn assert_matches(
+        g: &DeltaGraph,
+        reference: &std::collections::HashSet<(VertexId, VertexId)>,
+        n: VertexId,
+        label: &str,
+    ) {
+        assert_eq!(g.edge_count(), reference.len(), "{label}: edge count");
+        for u in 0..n {
+            for v in 0..n {
+                assert_eq!(
+                    g.contains_edge(u, v),
+                    reference.contains(&(u, v)),
+                    "{label}: contains_edge({u}, {v})"
+                );
+            }
+            let out = reference.iter().filter(|e| e.0 == u).count();
+            let inc = reference.iter().filter(|e| e.1 == u).count();
+            assert_eq!(g.out_deg(u), out, "{label}: out_deg({u})");
+            assert_eq!(g.in_deg(u), inc, "{label}: in_deg({u})");
+        }
+        let m = g.materialize();
+        assert_eq!(
+            m.num_edges(),
+            reference.len(),
+            "{label}: materialized edges"
+        );
+        for e in m.edges() {
+            assert!(
+                reference.contains(&(e.source, e.target)),
+                "{label}: phantom {e}"
+            );
+        }
+    }
+
     #[test]
     fn random_update_sequence_matches_reference_set() {
-        // Differential test against a straightforward HashSet of edges.
+        // Differential test against a straightforward HashSet of edges. Every
+        // 100 steps a clone is kept beside a copy of the reference set; the
+        // live graph keeps writing and compacting, and each clone must still
+        // hold exactly its own edge set at the end.
         use std::collections::HashSet;
         let mut rng = Xoshiro256::seed_from_u64(77);
         let base = erdos_renyi_gnm(30, 90, 9);
         let mut reference: HashSet<(VertexId, VertexId)> =
             base.edges().map(|e| (e.source, e.target)).collect();
         let mut g = DeltaGraph::new(base);
+        let mut clones = Vec::new();
         for step in 0..2_000 {
             let u = rng.next_index(30) as VertexId;
             let v = rng.next_index(30) as VertexId;
@@ -490,16 +679,69 @@ mod tests {
             if step % 500 == 250 {
                 g.compact();
             }
+            if step % 100 == 0 {
+                clones.push((step, g.clone(), reference.clone()));
+            }
         }
-        assert_eq!(g.edge_count(), reference.len());
-        for &(u, v) in &reference {
-            assert!(g.contains_edge(u, v), "missing ({u}, {v})");
+        assert_matches(&g, &reference, 30, "live graph");
+        for (step, clone, expected) in &clones {
+            assert_matches(clone, expected, 30, &format!("clone at step {step}"));
         }
-        let m = g.materialize();
-        assert_eq!(m.num_edges(), reference.len());
-        for e in m.edges() {
-            assert!(reference.contains(&(e.source, e.target)), "phantom {e}");
+    }
+
+    #[test]
+    fn small_lists_match_a_vec_across_the_inline_limit() {
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        for _ in 0..200 {
+            let mut list = SmallList::EMPTY;
+            let mut reference: Vec<VertexId> = Vec::new();
+            for _ in 0..12 {
+                let v = rng.next_index(16) as VertexId;
+                match reference.binary_search(&v) {
+                    Ok(idx) => {
+                        reference.remove(idx);
+                        list.remove(idx);
+                    }
+                    Err(idx) => {
+                        reference.insert(idx, v);
+                        list.insert(idx, v);
+                    }
+                }
+                assert_eq!(&*list, reference.as_slice());
+            }
+            list.clear();
+            assert!(list.is_empty());
         }
+    }
+
+    #[test]
+    fn a_write_after_a_clone_copies_only_the_touched_chunks() {
+        let n = 10 * CHUNK as VertexId;
+        let mut g = DeltaGraph::new(erdos_renyi_gnm(n as usize, 4 * n as usize, 3));
+        // Give every chunk of both directions overlay entries.
+        for u in 0..n {
+            g.insert_edge(u, (u * 7 + 1) % n);
+            g.remove_edge(u, (u * 7 + 1) % n);
+            g.insert_edge(u, (u * 13 + 5) % n);
+        }
+        let snap = g.clone();
+        let (u, v) = (3 * CHUNK as VertexId + 5, 8 * CHUNK as VertexId + 1);
+        assert!(g.insert_edge(u, v));
+        let shared = |a: &Overlay, b: &Overlay, touched: usize| {
+            for (i, (x, y)) in a.slots.iter().zip(&b.slots).enumerate() {
+                let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
+                assert_eq!(Arc::ptr_eq(x, y), i != touched, "chunk {i}");
+            }
+        };
+        shared(&g.out, &snap.out, u as usize / CHUNK);
+        shared(&g.inc, &snap.inc, v as usize / CHUNK);
+        assert!(g.contains_edge(u, v));
+        assert!(!snap.contains_edge(u, v));
+        // A second write to the same chunk copies nothing more.
+        let copied = Arc::as_ptr(g.out.slots[u as usize / CHUNK].as_ref().unwrap());
+        assert!(g.insert_edge(u + 1, v));
+        let after = Arc::as_ptr(g.out.slots[u as usize / CHUNK].as_ref().unwrap());
+        assert_eq!(copied, after, "the writer owns the copied chunk alone");
     }
 
     #[test]

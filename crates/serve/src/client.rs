@@ -239,7 +239,7 @@ impl ServeClient {
 
     /// `HEALTH?` — the watchdog's classification as key → value pairs
     /// (`status`, `reasons`, `heartbeat_age_ms`, `publish_age_ms`,
-    /// `queue_depth`, `queue_capacity`, `batches_since_minimize`, `epoch`).
+    /// `queue_depth`, `queue_capacity`, `epoch`).
     pub fn health(&mut self) -> Result<Vec<(String, String)>, ClientError> {
         let line = self.round_trip("HEALTH?")?;
         parse_kv(&line, "HEALTH").map_err(|e| ClientError::Malformed(format!("{e}: {line:?}")))

@@ -12,11 +12,14 @@
 //!    [`EdgeBatch::coalesce`]s the batch so a flapping edge costs one
 //!    operation instead of one cycle repair per flap.
 //! 3. The batch goes through [`DynamicCover::apply`] — the cover is valid
-//!    after every operation — and every [`EngineConfig::minimize_every`]
-//!    batches the writer runs [`DynamicCover::minimize`] to shed redundant
-//!    breakers.
+//!    after every operation — and, when the batch left the cover dirty, the
+//!    writer runs [`DynamicCover::minimize`] to shed redundant breakers, so
+//!    the cover is minimal again.
 //! 4. The writer captures [`DynamicCover::state`] and publishes it as the next
-//!    epoch. Readers pick it up on their next [`SnapshotCell::load`].
+//!    epoch. Readers pick it up on their next [`SnapshotCell::load`]. The
+//!    capture shares the graph's copy-on-write overlay chunks, so a publish
+//!    costs one pointer copy per 64 vertices, and every published snapshot —
+//!    the seed epoch 0 included — holds a valid and minimal cover.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -49,9 +52,6 @@ pub struct EngineConfig {
     /// producer (backpressure); the depth is visible as
     /// [`EngineStats::queue_depth`].
     pub queue_capacity: usize,
-    /// Run `minimize()` after every this many batches
-    /// (`0` disables periodic minimization; the cover stays valid either way).
-    pub minimize_every: usize,
     /// Watchdog thresholds (`HEALTH?` / `GET /healthz` classification).
     pub health: HealthConfig,
 }
@@ -62,7 +62,6 @@ impl Default for EngineConfig {
             max_batch: 256,
             batch_window: Duration::from_millis(2),
             queue_capacity: 4096,
-            minimize_every: 32,
             health: HealthConfig::default(),
         }
     }
@@ -87,9 +86,10 @@ pub struct EngineStats {
     pub updates: Counter,
     /// Breakers added by insert repairs.
     pub breakers_added: Counter,
-    /// Cover vertices shed by periodic minimization.
+    /// Cover vertices shed by minimization.
     pub pruned: Counter,
-    /// Periodic minimize passes run.
+    /// Minimize passes run: one at start, then one per batch that left the
+    /// cover dirty.
     pub minimizes: Counter,
     /// Current queue depth (approximate).
     pub queue_depth: Gauge,
@@ -190,18 +190,21 @@ pub struct CoverEngine {
 
 impl CoverEngine {
     /// Start the engine over a seeded dynamic cover, publishing the seed state
-    /// as epoch 0 before any update is accepted.
-    pub fn start(cover: DynamicCover, config: EngineConfig) -> Self {
+    /// as epoch 0 before any update is accepted. The seed cover is minimized
+    /// first: a cover wrapped with `DynamicCover::from_cover` can be
+    /// oversized, and every published snapshot is minimal.
+    pub fn start(mut cover: DynamicCover, config: EngineConfig) -> Self {
         assert!(config.max_batch > 0, "max_batch must be positive");
         assert!(config.queue_capacity > 0, "queue_capacity must be positive");
         let registry = Registry::new();
         let stats = Arc::new(EngineStats::register(&registry));
         let epoch_latency = registry.histogram("tdb_serve_epoch_publish_seconds");
+        stats.pruned.add(cover.minimize() as u64);
+        stats.minimizes.inc();
         let snapshots = Arc::new(SnapshotCell::new(CoverSnapshot::new(0, cover.state())));
         let health = Arc::new(HealthMonitor::new(
             config.health,
             config.queue_capacity,
-            config.minimize_every,
             stats.queue_depth.clone(),
         ));
         let nap_ns = Arc::new(AtomicU64::new(0));
@@ -311,7 +314,6 @@ fn writer_loop(
 ) -> DynamicCover {
     let mut batch = EdgeBatch::new();
     let mut epoch = snapshots.epoch();
-    let mut batches_since_minimize = 0usize;
     let mut shutting_down = false;
     health.beat();
     health.published();
@@ -366,14 +368,12 @@ fn writer_loop(
         let cancelled = batch.coalesce() as u64;
         let window = cover.apply(&batch);
         batch.clear();
-        batches_since_minimize += 1;
-        health.batch_applied();
-        if config.minimize_every > 0 && batches_since_minimize >= config.minimize_every {
+        // A clean cover is still minimal; a dirty one is minimized before it
+        // is published.
+        if cover.is_dirty() {
             let pruned = cover.minimize();
             stats.pruned.add(pruned as u64);
             stats.minimizes.inc();
-            batches_since_minimize = 0;
-            health.minimized();
             tdb_obs::event!(
                 tdb_obs::Level::Debug,
                 "serve/minimize",
@@ -395,14 +395,6 @@ fn writer_loop(
         if shutting_down {
             break 'serve;
         }
-    }
-    // Final epoch: leave the last published snapshot consistent with the
-    // returned engine (a closing minimize also sheds leftover redundancy).
-    if cover.is_dirty() {
-        let pruned = cover.minimize();
-        stats.pruned.add(pruned as u64);
-        stats.minimizes.inc();
-        snapshots.publish(CoverSnapshot::new(epoch + 1, cover.state()));
     }
     cover
 }
@@ -470,6 +462,47 @@ mod tests {
     }
 
     #[test]
+    fn every_published_snapshot_is_valid_and_minimal() {
+        use tdb_core::verify::verify_cover;
+        use tdb_core::CycleCover;
+        use tdb_graph::gen::{erdos_renyi_gnm, Xoshiro256};
+
+        // Every vertex in the cover: valid, and as oversized as it gets.
+        let n = 40;
+        let graph = erdos_renyi_gnm(n, 120, 11);
+        let everything = CycleCover::from_vertices((0..n as VertexId).collect());
+        let cover = DynamicCover::from_cover(graph, everything, HopConstraint::new(4));
+        let engine = CoverEngine::start(cover, EngineConfig::default());
+        let snapshots = engine.snapshots();
+        let audit = |epoch: u64| {
+            let snap = snapshots.load();
+            assert_eq!(snap.epoch(), epoch);
+            let report = verify_cover(&snap.graph().materialize(), snap.cover(), snap.constraint());
+            assert!(
+                report.is_valid_and_minimal(),
+                "epoch {epoch}: valid {} minimal {}",
+                report.is_valid,
+                report.is_minimal
+            );
+        };
+        audit(0);
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        for epoch in 1..=60 {
+            let u = rng.next_index(n) as VertexId;
+            let v = rng.next_index(n) as VertexId;
+            let op = if rng.next_index(3) == 0 {
+                EdgeOp::Remove(u, v)
+            } else {
+                EdgeOp::Insert(u, v)
+            };
+            assert!(engine.queue().send(op));
+            wait_for_epoch(&snapshots, epoch);
+            audit(epoch);
+        }
+        engine.shutdown();
+    }
+
+    #[test]
     fn shutdown_drains_queued_updates() {
         let engine = engine_over(
             &[(0, 1), (1, 2), (2, 3), (3, 4)],
@@ -487,7 +520,7 @@ mod tests {
         assert!(cover.graph().contains_edge(4, 0));
         assert!(!cover.graph().contains_edge(0, 1));
         assert!(cover.is_valid());
-        assert!(!cover.is_dirty(), "closing minimize must run");
+        assert!(!cover.is_dirty(), "every batch ends minimized");
     }
 
     #[test]

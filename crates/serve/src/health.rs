@@ -1,7 +1,7 @@
 //! The health/watchdog subsystem: a monitor the writer loop heartbeats into
 //! and the transport layer evaluates on demand (`HEALTH?`, `GET /healthz`).
 //!
-//! The monitor tracks four signals:
+//! The monitor tracks three signals:
 //!
 //! * **writer heartbeat age** — the writer loop beats every tick even when
 //!   idle ([`crate::engine`] uses a bounded `recv_timeout`), so a heartbeat
@@ -12,9 +12,9 @@
 //!   (producers are about to block).
 //! * **epoch-publish staleness** — operations are pending but no epoch has
 //!   been published for [`HealthConfig::publish_stale_after`]: `degraded`.
-//! * **minimize cadence** — periodic minimization configured but more than
-//!   [`HealthConfig::minimize_overdue_factor`] × `minimize_every` batches
-//!   have run without one: `degraded` (cover quality is drifting).
+//!
+//! Cover quality needs no signal: the writer minimizes before every publish,
+//! so every published cover is minimal.
 //!
 //! Reasons are stable machine-readable codes ([`reasons`]); the numeric
 //! evidence travels alongside in the [`HealthReport`].
@@ -32,8 +32,6 @@ pub mod reasons {
     pub const QUEUE_SATURATED: &str = "queue_saturated";
     /// Operations pending but no epoch published recently.
     pub const PUBLISH_STALE: &str = "publish_stale";
-    /// Periodic minimization overdue.
-    pub const MINIMIZE_OVERDUE: &str = "minimize_overdue";
 }
 
 /// Watchdog thresholds (part of [`crate::EngineConfig`]).
@@ -45,9 +43,6 @@ pub struct HealthConfig {
     pub publish_stale_after: Duration,
     /// Queue-depth percentage of capacity at which saturation is flagged.
     pub queue_warn_pct: u32,
-    /// Flag `minimize_overdue` after this many times `minimize_every`
-    /// batches without a minimize pass.
-    pub minimize_overdue_factor: u32,
 }
 
 impl Default for HealthConfig {
@@ -56,7 +51,6 @@ impl Default for HealthConfig {
             stall_after: Duration::from_secs(3),
             publish_stale_after: Duration::from_secs(1),
             queue_warn_pct: 75,
-            minimize_overdue_factor: 4,
         }
     }
 }
@@ -98,8 +92,6 @@ pub struct HealthReport {
     pub queue_depth: i64,
     /// Update-queue capacity.
     pub queue_capacity: usize,
-    /// Batches applied since the last minimize pass.
-    pub batches_since_minimize: u64,
 }
 
 /// Shared between the writer loop (producer of heartbeats and publication
@@ -108,33 +100,24 @@ pub struct HealthReport {
 pub struct HealthMonitor {
     config: HealthConfig,
     queue_capacity: usize,
-    minimize_every: usize,
     queue_depth: Gauge,
     started: Instant,
     heartbeat_ns: AtomicU64,
     last_publish_ns: AtomicU64,
-    batches_since_minimize: AtomicU64,
 }
 
 impl HealthMonitor {
     /// A monitor for an engine with the given queue shape; `queue_depth` is
     /// the engine's live depth gauge. The heartbeat and publish stamps start
     /// "fresh" so a just-started engine evaluates `ok`.
-    pub fn new(
-        config: HealthConfig,
-        queue_capacity: usize,
-        minimize_every: usize,
-        queue_depth: Gauge,
-    ) -> Self {
+    pub fn new(config: HealthConfig, queue_capacity: usize, queue_depth: Gauge) -> Self {
         HealthMonitor {
             config,
             queue_capacity,
-            minimize_every,
             queue_depth,
             started: Instant::now(),
             heartbeat_ns: AtomicU64::new(0),
             last_publish_ns: AtomicU64::new(0),
-            batches_since_minimize: AtomicU64::new(0),
         }
     }
 
@@ -157,16 +140,6 @@ impl HealthMonitor {
         self.last_publish_ns.store(self.now_ns(), Ordering::Relaxed);
     }
 
-    /// Count one applied batch (towards the minimize-cadence signal).
-    pub fn batch_applied(&self) {
-        self.batches_since_minimize.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reset the cadence counter after a minimize pass.
-    pub fn minimized(&self) {
-        self.batches_since_minimize.store(0, Ordering::Relaxed);
-    }
-
     fn age_of(&self, stamp_ns: u64) -> Duration {
         Duration::from_nanos(self.now_ns().saturating_sub(stamp_ns))
     }
@@ -176,7 +149,6 @@ impl HealthMonitor {
         let heartbeat_age = self.age_of(self.heartbeat_ns.load(Ordering::Relaxed));
         let publish_age = self.age_of(self.last_publish_ns.load(Ordering::Relaxed));
         let queue_depth = self.queue_depth.get();
-        let batches_since_minimize = self.batches_since_minimize.load(Ordering::Relaxed);
 
         let mut reason_codes = Vec::new();
         if heartbeat_age > self.config.stall_after {
@@ -190,12 +162,6 @@ impl HealthMonitor {
         }
         if queue_depth > 0 && publish_age > self.config.publish_stale_after {
             reason_codes.push(reasons::PUBLISH_STALE);
-        }
-        if self.minimize_every > 0
-            && batches_since_minimize
-                > self.config.minimize_overdue_factor as u64 * self.minimize_every as u64
-        {
-            reason_codes.push(reasons::MINIMIZE_OVERDUE);
         }
 
         let status = if reason_codes.contains(&reasons::WRITER_STALLED) {
@@ -212,7 +178,6 @@ impl HealthMonitor {
             publish_age,
             queue_depth,
             queue_capacity: self.queue_capacity,
-            batches_since_minimize,
         }
     }
 }
@@ -222,7 +187,7 @@ mod tests {
     use super::*;
 
     fn monitor(config: HealthConfig) -> HealthMonitor {
-        HealthMonitor::new(config, 100, 8, Gauge::default())
+        HealthMonitor::new(config, 100, Gauge::default())
     }
 
     #[test]
@@ -276,22 +241,6 @@ mod tests {
         assert!(report.reasons.contains(&reasons::PUBLISH_STALE));
         // An empty queue tolerates arbitrary publish age (nothing to do).
         m.queue_depth.set(0);
-        m.beat();
-        assert_eq!(m.evaluate().status, HealthStatus::Ok);
-    }
-
-    #[test]
-    fn minimize_cadence_overdue_degrades_and_resets() {
-        let m = monitor(HealthConfig::default());
-        m.beat();
-        // factor 4 × minimize_every 8 = 32 batches tolerated.
-        for _ in 0..33 {
-            m.batch_applied();
-        }
-        let report = m.evaluate();
-        assert_eq!(report.status, HealthStatus::Degraded);
-        assert!(report.reasons.contains(&reasons::MINIMIZE_OVERDUE));
-        m.minimized();
         m.beat();
         assert_eq!(m.evaluate().status, HealthStatus::Ok);
     }

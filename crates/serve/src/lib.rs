@@ -12,9 +12,10 @@
 //! * **engine** — [`CoverEngine`]: the writer loop. Incoming edge updates are
 //!   collected into an [`tdb_dynamic::EdgeBatch`] over a batching window,
 //!   coalesced (a flapping edge nets out to one operation), applied through
-//!   `DynamicCover`, periodically re-minimized, and the resulting state
-//!   published as the next snapshot. The update queue is bounded: a deep
-//!   queue blocks producers (backpressure), never readers.
+//!   `DynamicCover`, re-minimized whenever the batch left the cover dirty,
+//!   and the resulting state published as the next snapshot, so every
+//!   published cover is valid and minimal. The update queue is bounded: a
+//!   deep queue blocks producers (backpressure), never readers.
 //! * **snapshot** — [`CoverSnapshot`] and [`SnapshotCell`]: the publication
 //!   mechanism, plus the read-side queries (`COVER?` membership,
 //!   `BREAKERS?` via two hop-bounded BFS passes, per-breaker stats).
@@ -27,8 +28,8 @@
 //!   `serve/slow_query` records.
 //!
 //! Two operational surfaces ride on top: the [`health`] watchdog (writer
-//! heartbeat, queue saturation, publish staleness, minimize cadence —
-//! `HEALTH?` over the wire) and an optional std-only HTTP/1.0 listener
+//! heartbeat, queue saturation, publish staleness — `HEALTH?` over the
+//! wire) and an optional std-only HTTP/1.0 listener
 //! ([`ServeConfig::http_addr`]) exposing `GET /metrics`, `GET /healthz`,
 //! and `GET /events` to stock scrapers.
 //!
@@ -44,8 +45,11 @@
 //!    cover *of that snapshot's graph*.
 //! 2. **Publication is atomic.** A snapshot is one immutable heap object
 //!    behind an `Arc`; publishing swaps the pointer under a lock held for a
-//!    pointer-sized critical section. A reader holds either the old object or
-//!    the new one — a torn half-old-half-new view cannot be constructed.
+//!    pointer-sized critical section, and the replaced snapshot is released
+//!    after the lock. A reader holds either the old object or the new one — a
+//!    torn half-old-half-new view cannot be constructed. Snapshots share the
+//!    graph's overlay chunks copy-on-write, so a later write by the engine
+//!    copies a chunk rather than changing one a snapshot holds.
 //! 3. **Epochs are monotone.** One writer stamps epochs `0, 1, 2, …` in
 //!    publication order, so the epochs any single reader observes across
 //!    requests never decrease, and `STATS`/read responses can be correlated.

@@ -44,7 +44,10 @@
 //! `HEALTH?` answers the watchdog's classification (keys `status` —
 //! `ok`/`degraded`/`stalled` — `reasons` as comma-joined machine-readable
 //! codes, `heartbeat_age_ms`, `publish_age_ms`, `queue_depth`,
-//! `queue_capacity`, `batches_since_minimize`, `epoch`).
+//! `queue_capacity`, `epoch`). `SNAPSHOT` describes the published snapshot
+//! (keys `epoch`, `vertices`, `edges`, `cover`, `k`, `dirty`); the writer
+//! minimizes before every publish, so `dirty` always reads `0` and stays on
+//! the wire only for clients that parse it.
 //!
 //! `key` and `value` are percent-escaped ([`kv_response`] / [`parse_kv`]):
 //! `%`, space, `=`, TAB, CR and LF appear as `%25` `%20` `%3d` `%09` `%0d`
@@ -57,7 +60,8 @@
 //! current snapshot and carry the epoch they were answered against. Updates
 //! are acknowledged at *enqueue* time (`OK QUEUED`) and become visible in a
 //! later epoch — the protocol makes the asynchrony explicit rather than
-//! hiding it.
+//! hiding it. An `INSERT` naming a vertex id above the server's
+//! `max_vertex_id` is refused with `ERR` before anything is queued.
 
 use std::fmt::Write as _;
 

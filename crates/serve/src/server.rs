@@ -14,6 +14,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tdb_dynamic::DynamicCover;
+use tdb_graph::{GraphView, VertexId};
 use tdb_obs::{Counter, Histogram, Registry};
 
 use crate::engine::{CoverEngine, EngineConfig, EngineStats, UpdateQueue};
@@ -47,6 +48,14 @@ pub struct ServeConfig {
     /// recorder as `serve/slow_query` events (verb, args, latency, phase
     /// breakdown); `None` disables the slow-query log.
     pub slow_request_threshold: Option<Duration>,
+    /// The largest vertex id an `INSERT` may name; larger ids are refused
+    /// with `ERR`. The engine's search scratch and every reader's
+    /// `BREAKERS?` scratch are sized to the largest vertex id, at roughly
+    /// 40 bytes per vertex in the engine and 16 bytes per reader, so this
+    /// bounds the memory one request can make the server allocate. The
+    /// default, 2²²−1, allows about 170 MB of engine scratch. A seed graph
+    /// with more vertices raises the limit to its own last id.
+    pub max_vertex_id: VertexId,
 }
 
 impl Default for ServeConfig {
@@ -56,6 +65,7 @@ impl Default for ServeConfig {
             engine: EngineConfig::default(),
             http_addr: None,
             slow_request_threshold: Some(Duration::from_millis(250)),
+            max_vertex_id: (1 << 22) - 1,
         }
     }
 }
@@ -92,6 +102,8 @@ pub struct CoverServer {
 impl CoverServer {
     /// Start the engine over `cover` and begin accepting connections.
     pub fn start(cover: DynamicCover, config: ServeConfig) -> std::io::Result<CoverServer> {
+        let last_seed_id = cover.graph().vertex_count().saturating_sub(1) as VertexId;
+        let max_vertex_id = config.max_vertex_id.max(last_seed_id);
         let engine = CoverEngine::start(cover, config.engine);
         let snapshots = engine.snapshots();
         let engine_stats = engine.stats();
@@ -153,6 +165,7 @@ impl CoverServer {
                                     request_ids: Arc::clone(&request_ids),
                                     slow_threshold,
                                     slow_requests: slow_requests.clone(),
+                                    max_vertex_id,
                                 };
                                 let handle = std::thread::Builder::new()
                                     .name("tdb-serve-conn".into())
@@ -363,6 +376,8 @@ struct Connection {
     request_ids: Arc<AtomicU64>,
     slow_threshold: Option<Duration>,
     slow_requests: Counter,
+    /// The largest vertex id an `INSERT` may name.
+    max_vertex_id: VertexId,
 }
 
 impl Connection {
@@ -515,6 +530,14 @@ impl Connection {
                     ],
                 )
             }
+            Request::Insert(u, v) if u.max(v) > self.max_vertex_id => {
+                self.server_stats.errors.fetch_add(1, Ordering::Relaxed);
+                err_response(&format!(
+                    "INSERT: vertex id {} above max_vertex_id {}",
+                    u.max(v),
+                    self.max_vertex_id
+                ))
+            }
             Request::Insert(u, v) | Request::Delete(u, v) => {
                 let op = match request {
                     Request::Insert(..) => tdb_dynamic::EdgeOp::Insert(u, v),
@@ -573,10 +596,6 @@ impl Connection {
                         ("publish_age_ms", report.publish_age.as_millis().to_string()),
                         ("queue_depth", report.queue_depth.to_string()),
                         ("queue_capacity", report.queue_capacity.to_string()),
-                        (
-                            "batches_since_minimize",
-                            report.batches_since_minimize.to_string(),
-                        ),
                         ("epoch", self.snapshots.epoch().to_string()),
                     ],
                 )

@@ -195,7 +195,8 @@ impl CoverSnapshot {
     }
 
     /// Whether the engine considered the cover possibly non-minimal when the
-    /// snapshot was taken (never invalid).
+    /// snapshot was taken (never invalid). Always `false` for snapshots a
+    /// [`crate::CoverEngine`] publishes: its writer minimizes first.
     pub fn dirty(&self) -> bool {
         self.state.dirty
     }
@@ -335,9 +336,10 @@ impl Default for BreakerScratch {
 /// in, readers clone the current pointer out.
 ///
 /// The lock guards only the pointer swap (a few machine words); all graph
-/// mutation, cycle repair, and snapshot construction happen outside it, so
-/// readers are never blocked on the update path — at worst they wait for a
-/// competing pointer copy.
+/// mutation, cycle repair, and snapshot construction happen outside it, and
+/// so does the teardown of the replaced snapshot, so readers are never
+/// blocked on the update path — at worst they wait for a competing pointer
+/// copy.
 #[derive(Debug)]
 pub struct SnapshotCell {
     current: RwLock<Arc<CoverSnapshot>>,
@@ -367,17 +369,26 @@ impl SnapshotCell {
 
     /// Publish a new snapshot. Callers (the single writer) must stamp epochs
     /// monotonically; the cell enforces it with a debug assertion.
+    ///
+    /// The replaced snapshot is released after the lock is: when no reader
+    /// still holds it, dropping it frees its cover, its breaker statistics
+    /// and every overlay chunk only it shared, and readers must not wait for
+    /// that.
     pub fn publish(&self, snapshot: CoverSnapshot) {
         let epoch = snapshot.epoch();
         let next = Arc::new(snapshot);
-        let mut slot = self.current.write().expect("snapshot lock poisoned");
-        debug_assert!(
-            epoch >= slot.epoch(),
-            "epoch regression: {epoch} < {}",
-            slot.epoch()
-        );
-        *slot = next;
-        self.epoch.store(epoch, Ordering::Release);
+        let replaced = {
+            let mut slot = self.current.write().expect("snapshot lock poisoned");
+            debug_assert!(
+                epoch >= slot.epoch(),
+                "epoch regression: {epoch} < {}",
+                slot.epoch()
+            );
+            let replaced = std::mem::replace(&mut *slot, next);
+            self.epoch.store(epoch, Ordering::Release);
+            replaced
+        };
+        drop(replaced);
     }
 }
 

@@ -139,7 +139,6 @@ fn watchdog_classifies_an_injected_stall_and_recovers() {
         "publish_age_ms",
         "queue_depth",
         "queue_capacity",
-        "batches_since_minimize",
         "epoch",
     ] {
         assert!(

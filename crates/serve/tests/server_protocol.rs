@@ -168,6 +168,59 @@ fn protocol_errors_do_not_kill_the_connection() {
 }
 
 #[test]
+fn insert_above_max_vertex_id_is_refused_before_it_is_queued() {
+    use std::sync::atomic::Ordering;
+
+    let vertices = |client: &mut ServeClient| -> u64 {
+        let pairs = client.snapshot().unwrap();
+        let (_, v) = pairs.iter().find(|(k, _)| k == "vertices").unwrap();
+        v.parse().unwrap()
+    };
+    // The default limit: u32::MAX would size the engine's scratch to 2^32
+    // vertices, so it is refused before anything is queued.
+    let server = start_server(&[(0, 1), (1, 2), (2, 0)], 4);
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    match client.insert(u32::MAX, 0) {
+        Err(ClientError::Server(m)) => assert_eq!(
+            m,
+            "INSERT: vertex id 4294967295 above max_vertex_id 4194303"
+        ),
+        other => panic!("expected ERR, got {other:?}"),
+    }
+    client.ping().unwrap();
+    assert_eq!(vertices(&mut client), 3);
+    assert_eq!(client.stat_u64("queued").unwrap(), 0);
+    assert_eq!(server.server_stats().errors.load(Ordering::Relaxed), 1);
+    client.shutdown().unwrap();
+    server.join();
+
+    // A seed graph with more vertices than the setting raises the limit to
+    // its own last id: here 3.
+    let dynamic = Solver::new(Algorithm::TdbPlusPlus)
+        .solve_dynamic(
+            graph_from_edges(&[(0, 1), (1, 2), (2, 3), (3, 0)]),
+            &HopConstraint::new(4),
+        )
+        .unwrap();
+    let server = CoverServer::start(
+        dynamic,
+        ServeConfig {
+            max_vertex_id: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    client.insert(3, 1).unwrap();
+    assert!(matches!(client.insert(4, 0), Err(ClientError::Server(_))));
+    assert!(matches!(client.insert(0, 4), Err(ClientError::Server(_))));
+    wait_for_epoch(&mut client, 1);
+    assert_eq!(vertices(&mut client), 4);
+    client.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
 fn concurrent_clients_share_one_server() {
     let server = start_server(&[(0, 1), (1, 2), (2, 0)], 4);
     let addr = server.local_addr();

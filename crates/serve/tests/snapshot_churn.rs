@@ -4,9 +4,10 @@
 //! reader threads continuously sample published snapshots and check, for
 //! every single sample:
 //!
-//! * **audit validity** — the snapshot's cover is a valid hop-constrained
-//!   cover *of the snapshot's own graph version* (re-verified from scratch
-//!   with the offline auditor, not trusted from the engine);
+//! * **audit validity and minimality** — the snapshot's cover is a valid and
+//!   minimal hop-constrained cover *of the snapshot's own graph version*
+//!   (re-verified from scratch with the offline auditor, not trusted from the
+//!   engine): the writer minimizes before every publish;
 //! * **no torn reads** — the audit itself is the tear detector: a cover paired
 //!   with the wrong graph version fails it, and membership answered via the
 //!   snapshot agrees with the snapshot's own cover set;
@@ -20,11 +21,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use tdb_core::verify::verify_cover;
 use tdb_core::{Algorithm, HopConstraint, Solver};
 use tdb_dynamic::{EdgeOp, SolveDynamic};
 use tdb_graph::gen::{erdos_renyi_gnm, Xoshiro256};
 use tdb_graph::VertexId;
-use tdb_serve::{CoverEngine, EngineConfig};
+use tdb_serve::{CoverEngine, CoverSnapshot, EngineConfig};
 
 const VERTICES: u64 = 160;
 const SEED_EDGES: usize = 480;
@@ -32,6 +34,12 @@ const K: usize = 4;
 const UPDATES_PER_WRITER: usize = 600;
 const WRITERS: usize = 2;
 const READERS: usize = 3;
+
+/// Whether the snapshot's cover is valid and minimal for its own graph.
+fn valid_and_minimal(snap: &CoverSnapshot) -> bool {
+    verify_cover(&snap.graph().materialize(), snap.cover(), snap.constraint())
+        .is_valid_and_minimal()
+}
 
 fn random_op(rng: &mut Xoshiro256) -> EdgeOp {
     let u = rng.next_bounded(VERTICES) as VertexId;
@@ -58,7 +66,6 @@ fn every_sampled_snapshot_is_audit_valid_with_monotone_epochs() {
         EngineConfig {
             max_batch: 32,
             batch_window: Duration::from_micros(200),
-            minimize_every: 8,
             ..Default::default()
         },
     );
@@ -100,7 +107,7 @@ fn every_sampled_snapshot_is_audit_valid_with_monotone_epochs() {
                     assert_eq!(snap.contains(probe), snap.cover().contains(probe));
                     // Full offline audit of cover-vs-graph, every sample.
                     assert!(
-                        snap.audit_valid(),
+                        valid_and_minimal(&snap),
                         "reader {r}: snapshot at epoch {epoch} failed the audit"
                     );
                     audited += 1;
@@ -108,7 +115,7 @@ fn every_sampled_snapshot_is_audit_valid_with_monotone_epochs() {
                 // One last sample after the writers are done.
                 let snap = snapshots.load();
                 assert!(snap.epoch() >= last_epoch);
-                assert!(snap.audit_valid());
+                assert!(valid_and_minimal(&snap));
                 (sampled, audited)
             })
         })

@@ -88,7 +88,7 @@ fn main() {
     println!("the new cycle is broken by {covered} breaker(s) among its own vertices");
 
     // The watchdog keeps the deployment honest: writer heartbeat, queue
-    // saturation, publish staleness, minimize cadence.
+    // saturation, publish staleness.
     println!(
         "HEALTH?           -> {}",
         client.health_status().expect("HEALTH?")

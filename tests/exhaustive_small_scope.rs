@@ -12,6 +12,13 @@
 //! * **Covers**, for every graph, `k` and mode: `TDB`, `TDB+` and `TDB++`
 //!   return equal covers, which `verify_cover` and brute force both find
 //!   valid and minimal.
+//! * **Dynamic covers**, for every loop-free graph, every ordered vertex pair
+//!   and [`DYNAMIC_CONSTRAINTS`]: a `DynamicCover` seeded with the `TDB++`
+//!   cover toggles the edge (inserts it if absent, deletes it if present);
+//!   `minimize()` then returns the cover a full Algorithm 7 pass returns on
+//!   the materialized graph, `verify_cover` finds it valid and minimal, the
+//!   `state()` graph equals the materialized graph, and a state captured
+//!   before the update still reads the seed graph.
 //!
 //! The ground truth is the list of every simple cycle of length ≥ 2 on the
 //! vertex set, each with the bitmasks of its vertices and edges: a graph
@@ -235,6 +242,70 @@ fn check_covers(u: &Universe, mask: u32, g: &CsrGraph) {
     }
 }
 
+/// The constraints the dynamic check runs: one length per 2-cycle mode
+/// keeps it to about 5 s in debug, beside the 4 s engine check.
+const DYNAMIC_CONSTRAINTS: [(usize, bool); 2] = [(3, true), (4, false)];
+
+/// The edge list of a graph, in vertex order.
+fn edge_list(g: &impl GraphView) -> Vec<(VertexId, VertexId)> {
+    (0..g.vertex_count() as VertexId)
+        .flat_map(|u| g.out_iter(u).map(move |v| (u, v)))
+        .collect()
+}
+
+/// Toggle every ordered pair of one graph in a fresh `DynamicCover` seeded
+/// with its `TDB++` cover, and check the minimized result.
+fn check_dynamic(u: &Universe, mask: u32, g: &CsrGraph) {
+    if u.self_loops {
+        return; // the overlay rejects self-loops
+    }
+    for (k, two_cycles) in DYNAMIC_CONSTRAINTS {
+        let c = if two_cycles {
+            HopConstraint::with_two_cycles(k)
+        } else {
+            HopConstraint::new(k)
+        };
+        let seed = Solver::new(Algorithm::TdbPlusPlus)
+            .solve(g, &c)
+            .unwrap()
+            .cover;
+        for (x, y) in u.edges.iter().copied() {
+            let label = format!("n {} graph {mask:#x}, {c:?}, toggle ({x}, {y})", u.n);
+            let mut dynamic = DynamicCover::from_cover(g.clone(), seed.clone(), c);
+            let before = dynamic.state();
+            if dynamic.graph().contains_edge(x, y) {
+                assert!(dynamic.remove_edge(x, y), "{label}");
+            } else {
+                dynamic.insert_edge(x, y);
+            }
+            let materialized = dynamic.materialize();
+            let mut expected = dynamic.cover().clone();
+            let mut metrics = RunMetrics::new("full-pass", k, two_cycles);
+            minimal_prune(
+                &materialized,
+                &mut expected,
+                &c,
+                SearchEngine::Block,
+                &mut metrics,
+            );
+            dynamic.minimize();
+            assert_eq!(dynamic.cover(), &expected, "{label}: minimize");
+            assert!(
+                verify_cover(&materialized, &expected, &c).is_valid_and_minimal(),
+                "{label}: verify_cover rejects {expected:?}"
+            );
+            let state = dynamic.state();
+            assert_eq!(state.cover, expected, "{label}: state cover");
+            assert_eq!(
+                edge_list(&state.graph),
+                edge_list(&materialized),
+                "{label}: state graph"
+            );
+            assert_eq!(edge_list(&before.graph), edge_list(g), "{label}: old state");
+        }
+    }
+}
+
 /// Run `check` on every graph: 1 + 4 + 64 + 4,096 loop-free graphs on 1–4
 /// vertices and 2 + 16 + 512 graphs with self-loops on 1–3 vertices.
 fn every_small_graph(mut check: impl FnMut(&Universe, u32, &CsrGraph)) {
@@ -264,4 +335,9 @@ fn every_engine_agrees_with_brute_force_on_every_small_graph() {
 #[test]
 fn tdb_covers_are_equal_valid_and_minimal_on_every_small_graph() {
     every_small_graph(check_covers);
+}
+
+#[test]
+fn dynamic_minimize_matches_a_full_pass_after_every_single_update() {
+    every_small_graph(check_dynamic);
 }
