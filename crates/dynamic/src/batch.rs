@@ -101,8 +101,8 @@ impl EdgeBatch {
     ///   symmetrically a delete/insert pair to the insert.
     ///
     /// The final graph is identical to applying the raw batch, while the
-    /// engine skips the intermediate repair work — in the serving layer's
-    /// batching window, a flapping edge costs one operation instead of a
+    /// engine skips the intermediate repair work — in a batch of the serving
+    /// layer's writer, a flapping edge costs one operation instead of a
     /// cycle search per flap. The cover-validity guarantee is unaffected:
     /// the coalesced batch is itself applied one operation at a time.
     pub fn coalesce(&mut self) -> usize {

@@ -7,10 +7,13 @@
 //!    enqueue [`EdgeOp`]s through a bounded channel. A full queue blocks the
 //!    producer — that is the backpressure contract: writers slow down, readers
 //!    never do.
-//! 2. The writer thread collects operations into an [`EdgeBatch`] until the
-//!    batching window closes (size cap or time cap, whichever first), then
-//!    [`EdgeBatch::coalesce`]s the batch so a flapping edge costs one
-//!    operation instead of one cycle repair per flap.
+//! 2. The writer thread blocks for one operation, then drains whatever else
+//!    is already queued, up to [`EngineConfig::max_batch`], into an
+//!    [`EdgeBatch`] and [`EdgeBatch::coalesce`]s it, so a flapping edge costs
+//!    one operation instead of one cycle repair per flap. It never waits for
+//!    more operations to arrive (group commit): an idle writer publishes a
+//!    write as soon as it can apply it, and under load the operations that
+//!    queue while one batch is applied form the next.
 //! 3. The batch goes through [`DynamicCover::apply`] — the cover is valid
 //!    after every operation — and, when the batch left the cover dirty, the
 //!    writer runs [`DynamicCover::minimize`] to shed redundant breakers, so
@@ -22,7 +25,7 @@
 //!    the seed epoch 0 included — holds a valid and minimal cover.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -42,12 +45,10 @@ const HEARTBEAT_TICK: Duration = Duration::from_millis(25);
 /// Tuning knobs of the [`CoverEngine`] writer loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Maximum operations per applied batch.
+    /// Maximum operations per applied batch. A batch holds what queued
+    /// while the previous one was applied, so this caps how stale the
+    /// published epoch can get while a backlog drains.
     pub max_batch: usize,
-    /// Maximum time the writer waits to fill a batch once it holds at least
-    /// one operation. Shorter windows publish fresher epochs; longer windows
-    /// amortize repairs and publication better.
-    pub batch_window: Duration,
     /// Capacity of the update queue. Enqueueing into a full queue blocks the
     /// producer (backpressure); the depth is visible as
     /// [`EngineStats::queue_depth`].
@@ -60,7 +61,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_batch: 256,
-            batch_window: Duration::from_millis(2),
             queue_capacity: 4096,
             health: HealthConfig::default(),
         }
@@ -78,7 +78,7 @@ pub struct EngineStats {
     pub enqueued: Counter,
     /// Operations consumed by the writer (before coalescing).
     pub applied: Counter,
-    /// Operations cancelled by window coalescing.
+    /// Operations cancelled by batch coalescing.
     pub coalesced: Counter,
     /// Batches applied.
     pub batches: Counter,
@@ -339,34 +339,26 @@ fn writer_loop(
             Err(RecvTimeoutError::Timeout) => continue 'serve,
             Ok(Msg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break 'serve,
         }
-        // Fill the rest of the window: up to max_batch ops or batch_window
-        // elapsed, whichever comes first.
-        let window_closes = Instant::now() + config.batch_window;
+        // Take what is already queued, up to max_batch ops, without waiting
+        // for more.
         while batch.len() < config.max_batch {
-            let now = Instant::now();
-            let Some(remaining) = window_closes
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            match rx.recv_timeout(remaining) {
+            match rx.try_recv() {
                 Ok(Msg::Op(op, _enqueued)) => {
                     stats.queue_depth.dec();
                     batch.push(op);
                 }
-                Ok(Msg::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
+                Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => {
                     shutting_down = true;
                     break;
                 }
-                Err(RecvTimeoutError::Timeout) => break,
+                Err(TryRecvError::Empty) => break,
             }
         }
 
         let batch_span = tdb_obs::trace::span("serve/batch");
         let consumed = batch.len() as u64;
         let cancelled = batch.coalesce() as u64;
-        let window = cover.apply(&batch);
+        let metrics = cover.apply(&batch);
         batch.clear();
         // A clean cover is still minimal; a dirty one is minimized before it
         // is published.
@@ -390,8 +382,8 @@ fn writer_loop(
         stats.applied.add(consumed);
         stats.coalesced.add(cancelled);
         stats.batches.inc();
-        stats.updates.add(window.updates());
-        stats.breakers_added.add(window.breakers_added);
+        stats.updates.add(metrics.updates());
+        stats.breakers_added.add(metrics.breakers_added);
         if shutting_down {
             break 'serve;
         }
@@ -430,6 +422,18 @@ mod tests {
         }
     }
 
+    /// Run `enqueue` while the writer naps, so that everything it queues is
+    /// waiting when the writer next looks: set the nap, sleep past two
+    /// heartbeat ticks (the writer finishes its current idle tick, then
+    /// naps), enqueue, and clear the nap. The writer wakes on its own once
+    /// the nap it started has run out.
+    fn while_writer_naps(engine: &CoverEngine, enqueue: impl FnOnce()) {
+        engine.inject_writer_sleep(Duration::from_millis(500));
+        std::thread::sleep(2 * HEARTBEAT_TICK + Duration::from_millis(10));
+        enqueue();
+        engine.inject_writer_sleep(Duration::ZERO);
+    }
+
     #[test]
     fn seed_snapshot_is_published_before_any_update() {
         let engine = engine_over(&[(0, 1), (1, 2), (2, 0)], 4, EngineConfig::default());
@@ -442,14 +446,7 @@ mod tests {
 
     #[test]
     fn updates_flow_through_to_new_epochs() {
-        let engine = engine_over(
-            &[(0, 1), (1, 2)],
-            4,
-            EngineConfig {
-                batch_window: Duration::from_millis(1),
-                ..Default::default()
-            },
-        );
+        let engine = engine_over(&[(0, 1), (1, 2)], 4, EngineConfig::default());
         let snapshots = engine.snapshots();
         assert!(engine.queue().insert(2, 0)); // closes the triangle
         wait_for_epoch(&snapshots, 1);
@@ -507,11 +504,7 @@ mod tests {
         let engine = engine_over(
             &[(0, 1), (1, 2), (2, 3), (3, 4)],
             6,
-            EngineConfig {
-                // Large window: the drain must not wait for it.
-                batch_window: Duration::from_secs(5),
-                ..Default::default()
-            },
+            EngineConfig::default(),
         );
         let queue = engine.queue();
         assert!(queue.insert(4, 0));
@@ -530,22 +523,26 @@ mod tests {
             4,
             EngineConfig {
                 max_batch: 64,
-                batch_window: Duration::from_millis(50),
                 ..Default::default()
             },
         );
         let queue = engine.queue();
-        // A flap that nets out to nothing new plus one real insert.
-        assert!(queue.insert(5, 6));
-        assert!(queue.remove(5, 6));
-        assert!(queue.insert(5, 6));
         let stats = engine.stats();
+        let batches_before = stats.batches.get();
+        // A flap that nets out to nothing new plus one real insert, queued
+        // while the writer naps so that one batch holds all three.
+        while_writer_naps(&engine, || {
+            assert!(queue.insert(5, 6));
+            assert!(queue.remove(5, 6));
+            assert!(queue.insert(5, 6));
+        });
         let deadline = Instant::now() + Duration::from_secs(10);
-        while stats.applied.get() < 3 {
+        while stats.applied.get() < 3 || stats.batches.get() == batches_before {
             assert!(Instant::now() < deadline, "ops not applied");
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(stats.coalesced.get() >= 1);
+        assert_eq!(stats.batches.get(), batches_before + 1, "one batch");
         assert_eq!(stats.enqueued.get(), 3);
         // The engine registry carries the same counters plus batch latency.
         let exposition = engine.registry().render_prometheus();
@@ -555,29 +552,60 @@ mod tests {
     }
 
     #[test]
+    fn queued_ops_drain_into_batches_of_at_most_max_batch() {
+        let engine = engine_over(
+            &[(0, 1), (1, 2)],
+            4,
+            EngineConfig {
+                max_batch: 4,
+                ..Default::default()
+            },
+        );
+        let queue = engine.queue();
+        let stats = engine.stats();
+        let snapshots = engine.snapshots();
+        while_writer_naps(&engine, || {
+            for i in 0..10 {
+                assert!(queue.insert(10 + i, 30 + i));
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stats.applied.get() < 10 {
+            assert!(Instant::now() < deadline, "ops not applied");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Joining the writer orders its last counter writes before the
+        // reads below.
+        engine.shutdown();
+        assert_eq!(stats.applied.get(), 10);
+        assert_eq!(stats.batches.get(), 3, "batches of 4, 4 and 2");
+        assert_eq!(snapshots.epoch(), 3);
+    }
+
+    #[test]
     fn try_send_reports_backpressure_instead_of_blocking() {
-        // queue_capacity 1 and a writer that can't drain (it is busy waiting
-        // on its window only after the first op, so stuff the queue first).
+        // queue_capacity 1 and a napping writer that can't drain it.
         let engine = engine_over(
             &[(0, 1)],
             4,
             EngineConfig {
                 queue_capacity: 1,
-                batch_window: Duration::from_secs(2),
                 max_batch: 1024,
                 ..Default::default()
             },
         );
         let queue = engine.queue();
-        // Fill until try_send refuses; bounded capacity guarantees it happens
-        // within capacity + in-flight.
         let mut refused = false;
-        for i in 0..64u32 {
-            if !queue.try_send(EdgeOp::Insert(i + 10, i + 11)) {
-                refused = true;
-                break;
+        while_writer_naps(&engine, || {
+            // Fill until try_send refuses; bounded capacity guarantees it
+            // happens within capacity + in-flight.
+            for i in 0..64u32 {
+                if !queue.try_send(EdgeOp::Insert(i + 10, i + 11)) {
+                    refused = true;
+                    break;
+                }
             }
-        }
+        });
         assert!(refused, "a capacity-1 queue must exert backpressure");
         engine.shutdown();
     }

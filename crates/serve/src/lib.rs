@@ -9,9 +9,10 @@
 //!
 //! The crate is three layers:
 //!
-//! * **engine** — [`CoverEngine`]: the writer loop. Incoming edge updates are
-//!   collected into an [`tdb_dynamic::EdgeBatch`] over a batching window,
-//!   coalesced (a flapping edge nets out to one operation), applied through
+//! * **engine** — [`CoverEngine`]: the writer loop. The edge updates that
+//!   queued while the previous batch was applied form the next
+//!   [`tdb_dynamic::EdgeBatch`] (the writer never waits to fill one), which
+//!   is coalesced (a flapping edge nets out to one operation), applied through
 //!   `DynamicCover`, re-minimized whenever the batch left the cover dirty,
 //!   and the resulting state published as the next snapshot, so every
 //!   published cover is valid and minimal. The update queue is bounded: a

@@ -62,11 +62,22 @@
 //! later epoch — the protocol makes the asynchrony explicit rather than
 //! hiding it. An `INSERT` naming a vertex id above the server's
 //! `max_vertex_id` is refused with `ERR` before anything is queued.
+//!
+//! A request line longer than [`MAX_LINE_BYTES`] is answered with
+//! `ERR request line longer than 1024 bytes`, and the server then closes the
+//! connection: it can no longer tell where the next request starts.
 
 use std::fmt::Write as _;
 
 use tdb_graph::VertexId;
 use tdb_obs::Registry;
+
+/// The longest request line the server reads, in bytes, not counting the LF
+/// that ends it. The grammar bounds every valid request
+/// (`BREAKERS? 4294967295 4294967295` is 31 bytes), so a longer line is
+/// broken or hostile, and this cap is what stops a client that never sends
+/// a newline from growing the server's line buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1024;
 
 /// A parsed client request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

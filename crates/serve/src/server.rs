@@ -6,8 +6,8 @@
 //! issuing updates into a full queue blocks (backpressure) without affecting
 //! any reader connection.
 
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -22,7 +22,7 @@ use crate::health::HealthMonitor;
 use crate::http::HttpExporter;
 use crate::protocol::{
     breakers_response, cover_response, err_response, kv_response, metrics_response, parse_request,
-    queued_response, Request,
+    queued_response, Request, MAX_LINE_BYTES,
 };
 use crate::snapshot::{BreakerScratch, SnapshotCell};
 
@@ -396,8 +396,22 @@ impl Connection {
             if self.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            match reader.read_line(&mut line) {
+            // Read at most MAX_LINE_BYTES + 1 bytes of one line, counting the
+            // partial line kept from before a read timeout: a line that fills
+            // that allowance without its newline is over the cap.
+            let allowance = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+            match reader.by_ref().take(allowance).read_line(&mut line) {
                 Ok(0) => return, // client closed the connection
+                Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with('\n') => {
+                    // The framing is lost: answer, send FIN so the client
+                    // reads the answer and then EOF, and close.
+                    self.server_stats.errors.fetch_add(1, Ordering::Relaxed);
+                    let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                    let _ = writeln!(writer, "{}", err_response(&message));
+                    let _ = writer.flush();
+                    let _ = writer.get_ref().shutdown(Shutdown::Write);
+                    return;
+                }
                 Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     // Keep whatever partial line arrived before the timeout;

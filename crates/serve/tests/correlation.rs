@@ -11,7 +11,7 @@ use std::time::Duration;
 use tdb_core::{Algorithm, HopConstraint, Solver};
 use tdb_dynamic::SolveDynamic;
 use tdb_graph::builder::graph_from_edges;
-use tdb_serve::{CoverServer, EngineConfig, ServeClient, ServeConfig};
+use tdb_serve::{CoverServer, ServeClient, ServeConfig};
 
 fn str_field<'e>(event: &'e tdb_obs::event::Event, key: &str) -> Option<&'e str> {
     event.fields.iter().find_map(|(k, v)| match v {
@@ -36,10 +36,6 @@ fn slow_breakers_event_and_reader_spans_share_one_request_id() {
     let server = CoverServer::start(
         dynamic,
         ServeConfig {
-            engine: EngineConfig {
-                batch_window: Duration::from_millis(1),
-                ..Default::default()
-            },
             // Every request overruns a zero threshold: the BREAKERS? below is
             // deterministically captured as a slow query.
             slow_request_threshold: Some(Duration::ZERO),

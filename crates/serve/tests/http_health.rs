@@ -58,10 +58,6 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 fn http_endpoints_serve_metrics_health_and_events() {
     tdb_obs::event::set_enabled(true);
     let server = start_server(ServeConfig {
-        engine: EngineConfig {
-            batch_window: Duration::from_millis(1),
-            ..Default::default()
-        },
         http_addr: Some("127.0.0.1:0".to_string()),
         // Zero threshold: the cover query below is recorded as a slow query,
         // so /events deterministically has at least one correlated record.
@@ -116,7 +112,6 @@ fn http_endpoints_serve_metrics_health_and_events() {
 fn watchdog_classifies_an_injected_stall_and_recovers() {
     let server = start_server(ServeConfig {
         engine: EngineConfig {
-            batch_window: Duration::from_millis(1),
             health: HealthConfig {
                 stall_after: Duration::from_millis(50),
                 ..Default::default()

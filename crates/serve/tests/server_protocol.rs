@@ -7,23 +7,13 @@ use tdb_core::{Algorithm, HopConstraint, Solver};
 use tdb_dynamic::SolveDynamic;
 use tdb_graph::builder::graph_from_edges;
 use tdb_graph::{GraphView, VertexId};
-use tdb_serve::{ClientError, CoverServer, EngineConfig, ServeClient, ServeConfig};
+use tdb_serve::{ClientError, CoverServer, ServeClient, ServeConfig};
 
 fn start_server(edges: &[(VertexId, VertexId)], k: usize) -> CoverServer {
     let dynamic = Solver::new(Algorithm::TdbPlusPlus)
         .solve_dynamic(graph_from_edges(edges), &HopConstraint::new(k))
         .unwrap();
-    CoverServer::start(
-        dynamic,
-        ServeConfig {
-            engine: EngineConfig {
-                batch_window: Duration::from_millis(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    )
-    .unwrap()
+    CoverServer::start(dynamic, ServeConfig::default()).unwrap()
 }
 
 fn wait_for_epoch(client: &mut ServeClient, at_least: u64) -> u64 {
@@ -163,6 +153,33 @@ fn protocol_errors_do_not_kill_the_connection() {
     assert_eq!(say(&mut raw, "PING"), "OK PONG");
 
     assert!(client.stat_u64("errors").unwrap() >= 3);
+    client.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
+fn a_request_line_past_the_cap_is_refused_and_closes_the_connection() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = start_server(&[(0, 1), (1, 2), (2, 0)], 4);
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    // A server without the cap never answers; fail instead of hanging.
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut lines = BufReader::new(raw.try_clone().unwrap());
+    // 64 KiB without a newline. The server may close before it has read
+    // all of it, so a failed write is not an error here.
+    let _ = raw.write_all(&[b'A'; 64 * 1024]);
+    let mut line = String::new();
+    lines.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "ERR request line longer than 1024 bytes");
+    // The server sends FIN before it closes, so the rest is EOF, not a
+    // reset, though it never read most of the line.
+    line.clear();
+    assert_eq!(lines.read_line(&mut line).unwrap(), 0, "{line:?}");
+
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    client.ping().unwrap();
+    assert_eq!(client.stat_u64("errors").unwrap(), 1);
     client.shutdown().unwrap();
     server.join();
 }

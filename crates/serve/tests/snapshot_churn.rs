@@ -19,7 +19,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use tdb_core::verify::verify_cover;
 use tdb_core::{Algorithm, HopConstraint, Solver};
@@ -65,7 +64,6 @@ fn every_sampled_snapshot_is_audit_valid_with_monotone_epochs() {
         cover,
         EngineConfig {
             max_batch: 32,
-            batch_window: Duration::from_micros(200),
             ..Default::default()
         },
     );

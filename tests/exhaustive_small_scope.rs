@@ -19,6 +19,14 @@
 //!   the materialized graph, `verify_cover` finds it valid and minimal, the
 //!   `state()` graph equals the materialized graph, and a state captured
 //!   before the update still reads the seed graph.
+//! * **`BREAKERS?`**, for every loop-free graph and [`DYNAMIC_CONSTRAINTS`]:
+//!   a `CoverSnapshot` of the `TDB++` cover answers
+//!   `CoverSnapshot::breakers_through` on every ordered pair `(u, v)`, edge
+//!   or not, with exactly the cover vertices `w` that have
+//!   `d(v → w) + d(w → u) ≤ k − 1` (Floyd–Warshall hop distances over the
+//!   whole graph). When `(u, v)` is an edge, that includes every cover
+//!   vertex on a simple cycle through it whose length the constraint
+//!   counts. `u == v` and out-of-range ids answer empty.
 //!
 //! The ground truth is the list of every simple cycle of length ≥ 2 on the
 //! vertex set, each with the bitmasks of its vertices and edges: a graph
@@ -30,6 +38,7 @@ use tdb::core::Algorithm;
 use tdb::cycle::find_cycle::is_valid_cycle;
 use tdb::cycle::{BfsFilter, BlockSearcher, EdgeCycleSearcher, NaiveSearcher};
 use tdb::prelude::*;
+use tdb::serve::{BreakerScratch, CoverSnapshot};
 
 const KS: std::ops::RangeInclusive<usize> = 2..=5;
 
@@ -242,8 +251,9 @@ fn check_covers(u: &Universe, mask: u32, g: &CsrGraph) {
     }
 }
 
-/// The constraints the dynamic check runs: one length per 2-cycle mode
-/// keeps it to about 5 s in debug, beside the 4 s engine check.
+/// The constraints the dynamic and `BREAKERS?` checks run: one length per
+/// 2-cycle mode keeps the dynamic check to about 5 s in debug, beside the
+/// 4 s engine check.
 const DYNAMIC_CONSTRAINTS: [(usize, bool); 2] = [(3, true), (4, false)];
 
 /// The edge list of a graph, in vertex order.
@@ -306,6 +316,76 @@ fn check_dynamic(u: &Universe, mask: u32, g: &CsrGraph) {
     }
 }
 
+/// `CoverSnapshot::breakers_through` on every ordered pair of one loop-free
+/// graph and two out-of-range pairs, against hop distances and the cycle
+/// list; returns the number of pairs queried.
+fn check_breakers(u: &Universe, mask: u32, g: &CsrGraph, scratch: &mut BreakerScratch) -> usize {
+    if u.self_loops {
+        return 0; // the overlay rejects self-loops
+    }
+    // Floyd–Warshall hop distances; INF + INF cannot overflow.
+    const INF: usize = usize::MAX / 4;
+    let n = u.n;
+    let mut d = vec![vec![INF; n]; n];
+    for (x, row) in d.iter_mut().enumerate() {
+        row[x] = 0;
+    }
+    for (x, y) in edge_list(g) {
+        d[x as usize][y as usize] = 1;
+    }
+    for m in 0..n {
+        for x in 0..n {
+            for y in 0..n {
+                d[x][y] = d[x][y].min(d[x][m] + d[m][y]);
+            }
+        }
+    }
+    let present: Vec<&Cycle> = u.cycles.iter().filter(|c| c.edges & !mask == 0).collect();
+    let mut queries = 0;
+    for (k, two_cycles) in DYNAMIC_CONSTRAINTS {
+        let c = if two_cycles {
+            HopConstraint::with_two_cycles(k)
+        } else {
+            HopConstraint::new(k)
+        };
+        let cover = Solver::new(Algorithm::TdbPlusPlus)
+            .solve(g, &c)
+            .unwrap()
+            .cover;
+        let snap = CoverSnapshot::new(0, DynamicCover::from_cover(g.clone(), cover, c).state());
+        let label = |what: String| format!("n {n} graph {mask:#x}, {c:?}: {what}");
+        // `u == v` and out-of-range ids answer empty.
+        let out = n as VertexId;
+        for (x, y) in (0..out).map(|x| (x, x)).chain([(0, out), (out, 0)]) {
+            queries += 1;
+            let got = snap.breakers_through(scratch, x, y);
+            assert!(got.is_empty(), "{}", label(format!("({x}, {y})")));
+        }
+        for (i, &(x, y)) in u.edges.iter().enumerate() {
+            queries += 1;
+            let at = || label(format!("({x}, {y})"));
+            let got = snap.breakers_through(scratch, x, y);
+            let (x, y) = (x as usize, y as usize);
+            let want: Vec<VertexId> = snap
+                .cover()
+                .iter()
+                .filter(|&w| d[y][w as usize] + d[w as usize][x] < k) // ≤ k − 1
+                .collect();
+            assert_eq!(got, want, "{}", at());
+            // A present cycle through the edge implies the edge is present.
+            let through = present
+                .iter()
+                .filter(|cy| cy.edges >> i & 1 == 1 && c.covers_len(cy.len));
+            for cy in through {
+                for w in snap.cover().iter().filter(|&w| cy.vertices >> w & 1 == 1) {
+                    assert!(got.contains(&w), "{}: {w} on a cycle", at());
+                }
+            }
+        }
+    }
+    queries
+}
+
 /// Run `check` on every graph: 1 + 4 + 64 + 4,096 loop-free graphs on 1–4
 /// vertices and 2 + 16 + 512 graphs with self-loops on 1–3 vertices.
 fn every_small_graph(mut check: impl FnMut(&Universe, u32, &CsrGraph)) {
@@ -340,4 +420,13 @@ fn tdb_covers_are_equal_valid_and_minimal_on_every_small_graph() {
 #[test]
 fn dynamic_minimize_matches_a_full_pass_after_every_single_update() {
     every_small_graph(check_dynamic);
+}
+
+#[test]
+fn breakers_through_matches_hop_distances_on_every_small_graph() {
+    let mut scratch = BreakerScratch::default();
+    let mut queries = 0;
+    every_small_graph(|u, mask, g| queries += check_breakers(u, mask, g, &mut scratch));
+    // Loop-free graphs × (n² ordered pairs + 2 out of range) × 2 constraints.
+    assert_eq!(queries, 2 * (3 + 4 * 6 + 64 * 11 + 4_096 * 18));
 }
